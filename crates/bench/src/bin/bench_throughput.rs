@@ -1,5 +1,5 @@
 //! Wall-clock throughput emitter: items packed per second for every
-//! Any-Fit policy (indexed and scanning variants) across a fixed
+//! Any-Fit policy (hybrid and scanning variants) across a fixed
 //! `(d, n, μ)` grid, plus the `ServeDispatch` scenario (requests per
 //! second through the sharded `dvbp-serve` dispatch service, in-process
 //! and over loopback TCP, versus shard count), written as
@@ -72,8 +72,8 @@ struct Report {
     entries: Vec<Entry>,
 }
 
-/// `(policy, variant)` rows of the grid, four variants per Any-Fit
-/// policy:
+/// `(policy, variant)` rows of the grid: three variants per Any-Fit
+/// policy, plus `indexed` for the two with an index path:
 ///
 /// * `seed` — the seed engine's packing loop and O(m·d) scanning
 ///   selection, preserved verbatim in [`dvbp_bench::seed_engine`]. This is
@@ -81,23 +81,22 @@ struct Report {
 /// * `scalar` — the same O(m·d) per-bin selection loop running inside
 ///   the optimized engine (isolates selection cost from engine-loop
 ///   cost). The before-side of the simd-vs-scalar ablation.
-/// * `simd` — the vectorized block scan over the engine's SoA residual
-///   mirror (8 bins per mask step). Same asymptotics as `scalar`,
-///   lane-parallel constants.
-/// * `indexed` — fit-index candidate enumeration in the optimized engine.
+/// * `simd` — the vectorized block scan over the engine's slot-compacted
+///   SoA residual mirror (8 bins per mask step). Same asymptotics as
+///   `scalar`, lane-parallel constants. Best/Worst Fit's default.
+/// * `indexed` — First/Last Fit's default hybrid: the block scan below
+///   the measured crossover, the fit-index descent above it.
 ///
-/// All four produce identical placements; only the per-arrival cost
+/// All variants produce identical placements; only the per-arrival cost
 /// differs.
-const POLICIES: [(&str, &str); 18] = [
+const POLICIES: [(&str, &str); 16] = [
     ("FirstFit", "indexed"),
     ("FirstFit", "simd"),
     ("FirstFit", "scalar"),
     ("FirstFit", "seed"),
-    ("BestFit", "indexed"),
     ("BestFit", "simd"),
     ("BestFit", "scalar"),
     ("BestFit", "seed"),
-    ("WorstFit", "indexed"),
     ("WorstFit", "simd"),
     ("WorstFit", "scalar"),
     ("WorstFit", "seed"),
@@ -154,10 +153,8 @@ fn build_policy(policy: &str, variant: &str) -> Box<dyn Policy> {
         ("FirstFit", "indexed") => Box::new(FirstFit::new()),
         ("FirstFit", "simd") => Box::new(FirstFit::scanning()),
         ("FirstFit", "scalar") => Box::new(FirstFit::scanning_scalar()),
-        ("BestFit", "indexed") => Box::new(BestFit::new(LoadMeasure::Linf)),
         ("BestFit", "simd") => Box::new(BestFit::scanning(LoadMeasure::Linf)),
         ("BestFit", "scalar") => Box::new(BestFit::scanning_scalar(LoadMeasure::Linf)),
-        ("WorstFit", "indexed") => Box::new(WorstFit::new(LoadMeasure::Linf)),
         ("WorstFit", "simd") => Box::new(WorstFit::scanning(LoadMeasure::Linf)),
         ("WorstFit", "scalar") => Box::new(WorstFit::scanning_scalar(LoadMeasure::Linf)),
         ("LastFit", "indexed") => Box::new(LastFit::new()),

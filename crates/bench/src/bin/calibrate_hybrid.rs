@@ -1,11 +1,19 @@
-//! Crossover calibration for the scan-vs-index hybrid: times First Fit's
-//! pure block-scan path against its pure fit-index path across a sweep of
-//! steady-state open-bin counts `m` and dimension counts `d`, and prints
-//! the smallest measured `m` at which the index wins.
+//! Crossover calibration for the scan-vs-index hybrid: times each
+//! index-backed policy's pure block-scan path against its pure
+//! fit-index path across a sweep of steady-state open-bin counts `m`
+//! and dimension counts `d`, and prints the smallest measured `m` from
+//! which the index keeps winning.
 //!
-//! The per-`(m, d)` table in `dvbp_core::hybrid` is set from this
-//! binary's output on an AVX2 host (see DESIGN.md "Vectorized
-//! feasibility"). Rerun after kernel changes:
+//! Two stream shapes are swept. `dense` packs `n = 4μ` items, so the
+//! run opens few bins beyond the ones open at the peak. `sparse` packs
+//! `n = 20μ` items over `T = n` ticks — the long-stream shape of the
+//! `pack-dense` benchmark workload, where the run opens many times more
+//! bins than are ever open at once and closed bins pile up behind the
+//! open ones.
+//!
+//! The per-`d` table in `dvbp_core::hybrid` is set from this binary's
+//! output on an AVX2 host (see DESIGN.md "Vectorized feasibility").
+//! Rerun after kernel changes:
 //!
 //!   cargo run --release -p dvbp-bench --bin calibrate_hybrid
 //!
@@ -16,19 +24,48 @@
 
 use dvbp_bench::bench_instance;
 use dvbp_core::policy::first_fit::FirstFit;
+use dvbp_core::policy::last_fit::LastFit;
 use dvbp_core::{Engine, Instance, Policy, TraceMode};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 1;
-const BUDGET: Duration = Duration::from_millis(250);
+const BUDGET: Duration = Duration::from_millis(150);
+
+/// `(name, pure block scan, pure fit index)` for every policy with an
+/// index path.
+type Variants = (
+    &'static str,
+    fn() -> Box<dyn Policy>,
+    fn() -> Box<dyn Policy>,
+);
+
+const POLICIES: [Variants; 2] = [
+    (
+        "FirstFit",
+        || Box::new(FirstFit::scanning()),
+        || Box::new(FirstFit::indexed()),
+    ),
+    (
+        "LastFit",
+        || Box::new(LastFit::scanning()),
+        || Box::new(LastFit::indexed()),
+    ),
+];
+
+/// `(shape, items per unit of μ, μ sweep)`.
+const SHAPES: [(&str, usize, &[u64]); 2] = [
+    ("dense", 4, &[60, 120, 250, 500, 1000, 2000, 4000]),
+    ("sparse", 20, &[60, 250, 1000, 3000]),
+];
 
 /// Minimum-time estimator over warm repetitions (same protocol as
-/// `bench_throughput`); returns (items/sec, max concurrent bins).
-fn measure(inst: &Instance, policy: &mut dyn Policy) -> (f64, usize) {
+/// `bench_throughput`); returns (items/sec, max concurrent bins, bins
+/// opened).
+fn measure(inst: &Instance, policy: &mut dyn Policy) -> (f64, usize, usize) {
     let mut engine = Engine::new();
     let warm = engine.pack(inst, policy, TraceMode::CostOnly);
-    let max_conc = warm.max_concurrent_bins();
+    let (max_conc, opened) = (warm.max_concurrent_bins(), warm.num_bins());
     let start = Instant::now();
     let mut reps = 0u32;
     let mut fastest = Duration::MAX;
@@ -41,38 +78,42 @@ fn measure(inst: &Instance, policy: &mut dyn Policy) -> (f64, usize) {
             break;
         }
     }
-    (inst.len() as f64 / fastest.as_secs_f64(), max_conc)
+    (inst.len() as f64 / fastest.as_secs_f64(), max_conc, opened)
 }
 
 fn main() {
-    println!(
-        "{:>3} {:>6} {:>6} {:>12} {:>12} {:>7}",
-        "d", "mu", "m", "scan it/s", "index it/s", "winner"
-    );
-    for d in [1usize, 2, 3, 4, 5, 8, 9, 12, 16] {
-        let mut crossover: Option<usize> = None;
-        for mu in [60u64, 120, 250, 500, 1000, 2000, 4000] {
-            // n = 4μ keeps the steady state (m ≈ 0.8μ open bins) long
-            // relative to ramp-up/down.
-            let n = usize::try_from(4 * mu)
-                .expect("grid n fits usize")
-                .max(2000);
-            let inst = bench_instance(d, n, mu, SEED);
-            let (scan_ips, m) = measure(&inst, &mut FirstFit::scanning());
-            let (index_ips, _) = measure(&inst, &mut FirstFit::indexed());
-            let winner = if index_ips > scan_ips {
-                "index"
-            } else {
-                "scan"
-            };
-            if index_ips > scan_ips && crossover.is_none() {
-                crossover = Some(m);
+    for (shape, per_mu, mus) in SHAPES {
+        for (name, scan, index) in POLICIES {
+            println!("== {shape} {name}");
+            println!(
+                "{:>3} {:>6} {:>6} {:>7} {:>12} {:>12} {:>7}",
+                "d", "mu", "m", "opened", "scan it/s", "index it/s", "winner"
+            );
+            for d in [1usize, 2, 3, 4, 5, 8, 9, 12, 16] {
+                // The smallest m from which the index won every larger
+                // measured point too.
+                let mut crossover: Option<usize> = None;
+                for &mu in mus {
+                    let n = (per_mu * usize::try_from(mu).expect("grid μ fits usize")).max(2000);
+                    let inst = bench_instance(d, n, mu, SEED);
+                    let (scan_ips, m, opened) = measure(&inst, scan().as_mut());
+                    let (index_ips, _, _) = measure(&inst, index().as_mut());
+                    let index_wins = index_ips > scan_ips;
+                    crossover = match (index_wins, crossover) {
+                        (true, None) => Some(m),
+                        (true, kept) => kept,
+                        (false, _) => None,
+                    };
+                    let winner = if index_wins { "index" } else { "scan" };
+                    println!(
+                        "{d:>3} {mu:>6} {m:>6} {opened:>7} {scan_ips:>12.0} {index_ips:>12.0} {winner:>7}"
+                    );
+                }
+                match crossover {
+                    Some(m) => println!("  -> {shape} {name} d={d}: index wins from m ≈ {m}"),
+                    None => println!("  -> {shape} {name} d={d}: scan wins at the largest m"),
+                }
             }
-            println!("{d:>3} {mu:>6} {m:>6} {scan_ips:>12.0} {index_ips:>12.0} {winner:>7}");
-        }
-        match crossover {
-            Some(m) => println!("  -> d={d}: index first wins at m ≈ {m}"),
-            None => println!("  -> d={d}: scan won everywhere measured"),
         }
     }
 }

@@ -293,10 +293,11 @@ fn widedim_remainder_d16() -> Instance {
 }
 
 /// Ramps ~260 concurrent 12-dimensional blockers — through every block
-/// of the SoA mirror's doubling growth and across the hybrid's d ≥ 10
-/// scan-vs-index crossover (256 open bins) — then packs light items via
-/// the indexed path and drains everything. Placements before and after
-/// the crossover must agree bit for bit with the scalar reference.
+/// of the SoA mirror's doubling growth, and past the 256-bin crossover
+/// an earlier hybrid table used at d ≥ 10 — then packs light items and
+/// drains everything. `IndexedFirstFit` takes the fit-index path at
+/// every step and First Fit the block scan; both must agree bit for bit
+/// with the scalar reference.
 fn widedim_crossover_d12() -> Instance {
     let d = 12;
     let blockers = 260u64;
@@ -306,9 +307,8 @@ fn widedim_crossover_d12() -> Instance {
     for i in 0..blockers {
         items.push(Item::new(DimVec::splat(d, 6), i, blockers + 40));
     }
-    // Light items arriving above the crossover: the fit index (latched
-    // live mid-run) and the residual mirror must agree on the earliest
-    // feasible bin.
+    // Light items arriving with ~260 bins open: the fit index and the
+    // residual mirror must agree on the earliest feasible bin.
     for i in 0..12u64 {
         items.push(Item::new(
             DimVec::splat(d, 2),
@@ -553,14 +553,14 @@ mod tests {
     }
 
     #[test]
-    fn widedim_crossover_really_crosses_the_hybrid_latch() {
+    fn widedim_crossover_really_holds_260_bins_open() {
         let inst = widedim_crossover_d12();
         assert_eq!(inst.dim(), 12);
         let p = PackRequest::new(dvbp_core::PolicyKind::FirstFit)
             .run(&inst)
             .unwrap();
         // 260 mutually exclusive blockers: the open-bin count must pass
-        // the d ≥ 10 scan-vs-index crossover (256) while they overlap.
+        // 256 while they overlap.
         assert!(
             p.max_concurrent_bins() >= 260,
             "{}",

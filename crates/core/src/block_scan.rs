@@ -1,27 +1,40 @@
 //! Vectorized bin-feasibility kernel: a dimension-major (SoA) residual
-//! mirror of the engine's load arena, scanned in blocks of [`LANES`]
-//! bins per step.
+//! mirror of the engine's open bins, scanned in blocks of [`LANES`]
+//! slots per step.
 //!
 //! The Any-Fit hot path answers one question per candidate bin —
 //! `need[j] ≤ residual[j]` for every dimension `j`. The engine's load
 //! arena is bin-major (good for committing a placement, bad for
 //! scanning), so [`ResidualBlocks`] keeps the *residuals* a second time,
-//! dimension-major: `rows[j * stride + bin]`. A block scan then streams
-//! `LANES` consecutive bins' residuals for one dimension with a single
+//! dimension-major: `rows[j * stride + slot]`. A block scan then streams
+//! `LANES` consecutive slots' residuals for one dimension with a single
 //! contiguous load, accumulates a branchless feasibility mask across
 //! dimensions, and resolves the first/last/all feasible bins from the
 //! mask bits.
 //!
+//! The mirror is indexed by **dense slot**, not by bin id. A newly
+//! opened bin appends a slot, and a `slot → bin` table turns mask hits
+//! back into bin ids. A closing bin leaves a zero-residual tombstone;
+//! once the tombstones outnumber the live slots (and fill more than one
+//! block), a stable in-place compaction squeezes them out. Slot order
+//! therefore stays bin-id order (ties, Random Fit's RNG stream and scan
+//! counts are unchanged), and a scan walks at most `max(2m, m + 8)`
+//! slots for `m` open bins — however many bins the run has opened and
+//! closed before. Bins mostly close oldest-first, so scans also start
+//! past the leading run of tombstones. Indexing by bin id
+//! instead made long streams scan the whole open-id *span*, which on
+//! cloud-shaped streams is 7–14× the open-bin count.
+//!
 //! Invariants that make a mask hit trustworthy without consulting the
 //! open-bin list:
 //!
-//! * **closed bins are pinned to residual 0** (and so are ids that were
-//!   never opened, and the padding lanes past the last bin), and
+//! * **tombstones and the padding lanes past the last slot read
+//!   residual 0**, and
 //! * **items have a nonzero demand in at least one dimension** — both
 //!   `Instance::validate` and `LiveEngine::arrive` reject all-zero
 //!   sizes,
 //!
-//! so `need ≤ residual` can only hold for an *open* bin. Callers still
+//! so `need ≤ residual` can only hold for a live slot. Callers still
 //! confirm every selected bin against the authoritative load arena
 //! (`EngineView::fits`) before acting on it — a desynchronized mirror
 //! panics instead of corrupting a packing.
@@ -33,30 +46,41 @@
 //! block path from the engine's scan helpers entirely (CI builds and
 //! tests that leg), without affecting these primitives or their tests.
 
-/// Bins examined per block-scan step. The arena stride is kept a
+/// Slots examined per block-scan step. The arena stride is kept a
 /// multiple of this so a block load never runs past the allocation.
 pub const LANES: usize = 8;
 
-/// Initial stride (in bins) of a fresh arena.
+/// Initial stride (in slots) of a fresh arena.
 const INITIAL_STRIDE: usize = 64;
 
-/// Dimension-major residual mirror with lane-padded stride.
+/// `slot_bin` marker of a tombstone (a closed bin's slot).
+const DEAD: usize = usize::MAX;
+
+/// Dimension-major residual mirror over dense, lane-padded slots.
 ///
-/// Maintained unconditionally by the engine (unlike the lazily-built
-/// [`FitIndex`](crate::FitIndex)): updates are O(d) plain stores per
-/// event, so there is nothing to latch. The arena is kept across runs
-/// of the owning [`Engine`](crate::Engine) — `ResidualBlocks::reset`
-/// zeroes in place when the dimensionality is unchanged, preserving the
+/// The engine latches it on a run's first scan, like the
+/// [`FitIndex`](crate::FitIndex), and then maintains it: updates are
+/// O(d) plain stores per event, plus an amortized O(d) per close for
+/// compaction. The arena is kept across runs of the owning
+/// [`Engine`](crate::Engine) — `ResidualBlocks::reset` zeroes the used
+/// prefix in place when the dimensionality is unchanged, preserving the
 /// engine's zero-allocations-per-arrival steady state.
 #[derive(Debug, Default)]
 pub struct ResidualBlocks {
     dims: usize,
-    /// Row length in bins; a multiple of [`LANES`].
+    /// Row length in slots; a multiple of [`LANES`].
     stride: usize,
-    /// Bins registered so far (open ids are dense: `0..bins`).
-    bins: usize,
-    /// `dims * stride` residuals, dimension-major.
+    /// `dims * stride` residuals, dimension-major. Every entry at or
+    /// past `slot_bin.len()` in a row is 0.
     rows: Vec<u64>,
+    /// Bin held by each slot in use (live or [`DEAD`]), ascending.
+    slot_bin: Vec<usize>,
+    /// Slot of each bin opened this run (stale once it closes).
+    bin_slot: Vec<usize>,
+    /// Slots holding an open bin.
+    live: usize,
+    /// Every slot below `head` is a tombstone: scans start at its block.
+    head: usize,
 }
 
 impl ResidualBlocks {
@@ -70,38 +94,47 @@ impl ResidualBlocks {
     /// allocation when the dimensionality is unchanged.
     pub(crate) fn reset(&mut self, dims: usize) {
         if self.dims == dims {
-            self.rows.fill(0);
+            let used = self.slot_bin.len();
+            for j in 0..dims {
+                self.rows[j * self.stride..j * self.stride + used].fill(0);
+            }
         } else {
             self.rows.clear();
             self.stride = 0;
         }
         self.dims = dims;
-        self.bins = 0;
+        self.slot_bin.clear();
+        self.bin_slot.clear();
+        self.live = 0;
+        self.head = 0;
     }
 
-    /// Number of bins registered (open or closed).
+    /// Slots a scan walks: open bins plus not-yet-compacted tombstones.
     #[must_use]
-    pub fn bins(&self) -> usize {
-        self.bins
+    pub fn slots(&self) -> usize {
+        self.slot_bin.len()
     }
 
-    /// Current residual of `bin` in dimension `j`.
+    /// Number of open bins.
+    #[must_use]
+    pub fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Current residual of open `bin` in dimension `j`.
     #[must_use]
     pub fn residual(&self, bin: usize, j: usize) -> u64 {
-        self.rows[j * self.stride + bin]
+        self.rows[j * self.stride + self.bin_slot[bin]]
     }
 
-    /// Grows the stride (doubling) until `bin` is addressable,
-    /// re-striding existing rows in place and zeroing the vacated tails.
-    fn ensure(&mut self, bin: usize) {
-        if bin < self.stride {
-            return;
-        }
+    /// Doubles the stride's capacity, re-striding existing rows in place
+    /// and zeroing the vacated tails.
+    fn grow(&mut self) {
         let old = self.stride;
-        let mut new = old.max(INITIAL_STRIDE / 2) * 2;
-        while new <= bin {
-            new *= 2;
-        }
+        // A power of two plus one block: with power-of-two strides, the
+        // same slot of every dimension maps to the same cache sets, and
+        // a block scan's `d` row loads evict each other.
+        let new = 2 * old.saturating_sub(LANES).max(INITIAL_STRIDE / 2) + LANES;
         debug_assert_eq!(new % LANES, 0);
         self.rows.resize(self.dims * new, 0);
         // Move rows from the back so no copy overwrites a row that has
@@ -118,50 +151,127 @@ impl ResidualBlocks {
         self.stride = new;
     }
 
-    /// Registers a freshly opened bin with its initial residual vector.
-    /// Bins open in id order, densely.
+    /// Registers a freshly opened bin with its initial residual vector
+    /// in a new last slot. Bins open in id order, densely.
     pub(crate) fn open(&mut self, bin: usize, residual: &[u64]) {
-        debug_assert_eq!(bin, self.bins, "bins must open in id order");
-        self.ensure(bin);
-        self.bins = bin + 1;
-        for (j, &r) in residual.iter().enumerate() {
-            self.rows[j * self.stride + bin] = r;
+        debug_assert_eq!(bin, self.bin_slot.len(), "bins must open in id order");
+        self.bin_slot.push(self.slot_bin.len());
+        self.append(bin, residual.iter().copied());
+    }
+
+    /// Re-registers a run's open bins from scratch: `open` lists them in
+    /// ascending id, `bins` is how many the run has opened so far, and
+    /// `residual(bin, j)` reads the authoritative load arena. How the
+    /// engine latches a mirror it has not been maintaining.
+    pub(crate) fn rebuild(
+        &mut self,
+        bins: usize,
+        open: impl Iterator<Item = usize>,
+        residual: impl Fn(usize, usize) -> u64,
+    ) {
+        self.reset(self.dims);
+        // Closed bins keep a stale slot: they are never updated again.
+        self.bin_slot.resize(bins, DEAD);
+        for bin in open {
+            self.bin_slot[bin] = self.slot_bin.len();
+            self.append(bin, (0..self.dims).map(|j| residual(bin, j)));
         }
     }
 
-    /// Subtracts an item's size from `bin`'s residual.
+    /// Puts open `bin` in a new last slot.
+    fn append(&mut self, bin: usize, residual: impl Iterator<Item = u64>) {
+        let slot = self.slot_bin.len();
+        if slot == self.stride {
+            self.grow();
+        }
+        self.slot_bin.push(bin);
+        self.live += 1;
+        for (j, r) in residual.enumerate() {
+            self.rows[j * self.stride + slot] = r;
+        }
+    }
+
+    /// Subtracts an item's size from open `bin`'s residual.
     pub(crate) fn pack(&mut self, bin: usize, size: &[u64]) {
+        let slot = self.bin_slot[bin];
         for (j, &s) in size.iter().enumerate() {
-            self.rows[j * self.stride + bin] -= s;
+            self.rows[j * self.stride + slot] -= s;
         }
     }
 
-    /// Adds a departing item's size back to `bin`'s residual.
+    /// Adds a departing item's size back to open `bin`'s residual.
     pub(crate) fn unpack(&mut self, bin: usize, size: &[u64]) {
+        let slot = self.bin_slot[bin];
         for (j, &s) in size.iter().enumerate() {
-            self.rows[j * self.stride + bin] += s;
+            self.rows[j * self.stride + slot] += s;
         }
     }
 
-    /// Pins a closing bin to residual 0 in every dimension, so no block
-    /// scan can ever select it again.
+    /// Turns a closing bin's slot into a zero-residual tombstone, so no
+    /// block scan can ever select it again, and compacts once the
+    /// tombstones outnumber both the live slots and one block's lanes
+    /// (below one block, a scan reads a single block either way).
     pub(crate) fn close(&mut self, bin: usize) {
+        let slot = self.bin_slot[bin];
         for j in 0..self.dims {
-            self.rows[j * self.stride + bin] = 0;
+            self.rows[j * self.stride + slot] = 0;
         }
+        self.slot_bin[slot] = DEAD;
+        self.live -= 1;
+        if self.slot_bin.len() - self.live > self.live.max(LANES) {
+            self.compact();
+        } else if slot == self.head {
+            // Bins mostly close oldest-first: skip the leading run of
+            // tombstones until the next compaction squeezes it out.
+            while self.slot_bin.get(self.head) == Some(&DEAD) {
+                self.head += 1;
+            }
+        }
+    }
+
+    /// Stable in-place compaction: moves every live slot down over the
+    /// tombstones, keeping ascending bin order, and zeroes the vacated
+    /// tail. O(slots · d), run only once more than half the slots are
+    /// tombstones, so amortized O(d) per close.
+    #[cold]
+    #[inline(never)]
+    fn compact(&mut self) {
+        let (stride, used) = (self.stride, self.slot_bin.len());
+        let mut w = 0;
+        for s in 0..used {
+            let bin = self.slot_bin[s];
+            if bin == DEAD {
+                continue;
+            }
+            if w != s {
+                for j in 0..self.dims {
+                    self.rows[j * stride + w] = self.rows[j * stride + s];
+                }
+                self.slot_bin[w] = bin;
+                self.bin_slot[bin] = w;
+            }
+            w += 1;
+        }
+        debug_assert_eq!(w, self.live);
+        for j in 0..self.dims {
+            self.rows[j * stride + w..j * stride + used].fill(0);
+        }
+        self.slot_bin.truncate(w);
+        self.head = 0;
     }
 
     /// Scalar reference predicate: `need ≤ residual` for every
-    /// dimension of `bin`. Used by tests and debug confirms.
+    /// dimension of open `bin`. Used by tests and debug confirms.
     #[must_use]
     pub fn covers(&self, bin: usize, need: &[u64]) -> bool {
+        let slot = self.bin_slot[bin];
         need.iter()
             .enumerate()
-            .all(|(j, &n)| self.rows[j * self.stride + bin] >= n)
+            .all(|(j, &n)| self.rows[j * self.stride + slot] >= n)
     }
 
-    /// Feasibility mask for the aligned block starting at `base`:
-    /// bit `l` is set iff bin `base + l` covers `need`.
+    /// Feasibility mask for the aligned block starting at slot `base`:
+    /// bit `l` is set iff slot `base + l` covers `need`.
     #[inline]
     fn mask8(&self, base: usize, need: &[u64]) -> u8 {
         debug_assert_eq!(base % LANES, 0);
@@ -169,70 +279,55 @@ impl ResidualBlocks {
         mask8_dispatch(&self.rows, self.stride, base, need)
     }
 
-    /// Lowest bin id in `lo..=hi` that covers `need`, or `None`.
-    ///
-    /// `lo..=hi` is a hint (callers pass the open-bin id span); because
-    /// closed, never-opened, and padding lanes all read 0 and `need` is
-    /// nonzero in some dimension, any mask hit — even outside the hint —
-    /// is a genuinely feasible open bin.
+    /// The open bin in a slot a mask hit selected. Tombstones and
+    /// padding read 0 and `need` is nonzero somewhere, so a hit is
+    /// always a live slot.
+    #[inline]
+    fn hit(&self, slot: usize) -> usize {
+        let bin = self.slot_bin[slot];
+        debug_assert_ne!(bin, DEAD, "block scan selected a tombstone");
+        bin
+    }
+
+    /// Lowest-id open bin that covers `need`, or `None`.
     #[must_use]
-    pub fn first_feasible_in(&self, need: &[u64], lo: usize, hi: usize) -> Option<usize> {
-        debug_assert!(need.iter().any(|&n| n > 0), "zero need matches closed bins");
-        if self.bins == 0 {
-            return None;
-        }
-        let hi = hi.min(self.bins - 1);
-        let mut base = lo & !(LANES - 1);
-        while base <= hi {
+    pub fn first_feasible(&self, need: &[u64]) -> Option<usize> {
+        debug_assert!(need.iter().any(|&n| n > 0), "zero need matches tombstones");
+        let mut base = self.head & !(LANES - 1);
+        while base < self.slot_bin.len() {
             let m = self.mask8(base, need);
             if m != 0 {
-                return Some(base + m.trailing_zeros() as usize);
+                return Some(self.hit(base + m.trailing_zeros() as usize));
             }
             base += LANES;
         }
         None
     }
 
-    /// Highest bin id in `lo..=hi` that covers `need`, or `None`.
+    /// Highest-id open bin that covers `need`, or `None`.
     #[must_use]
-    pub fn last_feasible_in(&self, need: &[u64], lo: usize, hi: usize) -> Option<usize> {
-        debug_assert!(need.iter().any(|&n| n > 0), "zero need matches closed bins");
-        if self.bins == 0 {
-            return None;
-        }
-        let lo_block = lo & !(LANES - 1);
-        let mut base = hi.min(self.bins - 1) & !(LANES - 1);
-        loop {
-            let m = self.mask8(base, need);
+    pub fn last_feasible(&self, need: &[u64]) -> Option<usize> {
+        debug_assert!(need.iter().any(|&n| n > 0), "zero need matches tombstones");
+        let mut end = self.slot_bin.len().next_multiple_of(LANES);
+        while end > self.head & !(LANES - 1) {
+            end -= LANES;
+            let m = self.mask8(end, need);
             if m != 0 {
-                return Some(base + 7 - m.leading_zeros() as usize);
+                return Some(self.hit(end + 7 - m.leading_zeros() as usize));
             }
-            if base == lo_block {
-                return None;
-            }
-            base -= LANES;
         }
+        None
     }
 
-    /// Calls `f` for every bin in `lo..=hi` covering `need`, in
-    /// ascending id order (the order the scalar scan visits open bins).
-    pub fn for_each_feasible_in(
-        &self,
-        need: &[u64],
-        lo: usize,
-        hi: usize,
-        mut f: impl FnMut(usize),
-    ) {
-        debug_assert!(need.iter().any(|&n| n > 0), "zero need matches closed bins");
-        if self.bins == 0 {
-            return;
-        }
-        let hi = hi.min(self.bins - 1);
-        let mut base = lo & !(LANES - 1);
-        while base <= hi {
+    /// Calls `f` for every open bin covering `need`, in ascending id
+    /// order (the order the scalar scan visits open bins).
+    pub fn for_each_feasible(&self, need: &[u64], mut f: impl FnMut(usize)) {
+        debug_assert!(need.iter().any(|&n| n > 0), "zero need matches tombstones");
+        let mut base = self.head & !(LANES - 1);
+        while base < self.slot_bin.len() {
             let mut m = self.mask8(base, need);
             while m != 0 {
-                f(base + m.trailing_zeros() as usize);
+                f(self.hit(base + m.trailing_zeros() as usize));
                 m &= m - 1;
             }
             base += LANES;
@@ -354,11 +449,28 @@ mod tests {
         blocks
     }
 
-    /// Scalar reference: first open bin covering `need`.
-    fn naive_first(residuals: &[Vec<u64>], need: &[u64]) -> Option<usize> {
-        residuals
-            .iter()
-            .position(|r| need.iter().enumerate().all(|(j, &n)| r[j] >= n))
+    /// `true` iff `residual` covers `need` in every dimension.
+    fn fits(residual: &[u64], need: &[u64]) -> bool {
+        need.iter().zip(residual).all(|(&n, &r)| r >= n)
+    }
+
+    /// Naive ascending-id scan over the `open` bins of a residual model.
+    fn naive_feasible(model: &[Vec<u64>], open: &[usize], need: &[u64]) -> Vec<usize> {
+        open.iter()
+            .copied()
+            .filter(|&b| fits(&model[b], need))
+            .collect()
+    }
+
+    /// xorshift64*: cheap deterministic values for the property tests.
+    fn rng(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed | 1;
+        move |bound| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        }
     }
 
     #[test]
@@ -370,8 +482,8 @@ mod tests {
         blocks.unpack(0, &[3, 5]);
         assert_eq!(blocks.residual(0, 0), 10);
         blocks.close(0);
-        assert!(!blocks.covers(0, &[1, 1]));
-        assert_eq!(blocks.first_feasible_in(&[1, 1], 0, 1), Some(1));
+        assert_eq!(blocks.live(), 1);
+        assert_eq!(blocks.first_feasible(&[1, 1]), Some(1));
     }
 
     #[test]
@@ -391,15 +503,12 @@ mod tests {
         }
         // The unique bin with residual exactly [n, 2n-1, 7] is the last.
         let n64 = n as u64;
-        assert_eq!(
-            blocks.first_feasible_in(&[n64, 2 * n64 - 1, 7], 0, n - 1),
-            Some(n - 1)
-        );
+        assert_eq!(blocks.first_feasible(&[n64, 2 * n64 - 1, 7]), Some(n - 1));
     }
 
-    /// Satellite 2: padding lanes read residual 0 and can never be
-    /// selected, at bin counts just below, at, and above a lane
-    /// boundary — and after closes.
+    /// Padding lanes read residual 0 and can never be selected, at bin
+    /// counts just below, at, and above a lane boundary — and after
+    /// closes.
     #[test]
     fn padding_lanes_are_never_selected() {
         for m in [LANES - 1, LANES, LANES + 1, 2 * LANES - 1, 2 * LANES + 1] {
@@ -407,26 +516,48 @@ mod tests {
             let mut blocks = mirror(2, &residuals);
             // Everything feasible: hits must stay within 0..m.
             let mut seen = Vec::new();
-            blocks.for_each_feasible_in(&[1, 1], 0, m - 1, |b| seen.push(b));
+            blocks.for_each_feasible(&[1, 1], |b| seen.push(b));
             assert_eq!(seen, (0..m).collect::<Vec<_>>(), "m={m}");
-            assert_eq!(blocks.last_feasible_in(&[1, 1], 0, m - 1), Some(m - 1));
+            assert_eq!(blocks.last_feasible(&[1, 1]), Some(m - 1));
             // Close every bin: nothing is feasible, padding included.
             for b in 0..m {
                 blocks.close(b);
             }
-            assert_eq!(blocks.first_feasible_in(&[1, 1], 0, m - 1), None, "m={m}");
-            assert_eq!(blocks.last_feasible_in(&[1, 1], 0, m - 1), None, "m={m}");
+            assert_eq!(blocks.first_feasible(&[1, 1]), None, "m={m}");
+            assert_eq!(blocks.last_feasible(&[1, 1]), None, "m={m}");
+            assert!(blocks.slots() <= LANES, "m={m}: tombstones compacted");
         }
+    }
+
+    /// Closing bins in id order keeps the tombstones within
+    /// `max(live, LANES)`: they are compacted away, and survivors keep
+    /// their residuals and ascending order.
+    #[test]
+    fn compaction_bounds_slots_by_live_bins() {
+        let n = 300;
+        let residuals: Vec<Vec<u64>> = (0..n as u64).map(|b| vec![b + 1]).collect();
+        let mut blocks = mirror(1, &residuals);
+        for b in 0..n - 10 {
+            blocks.close(b);
+            let dead = blocks.slots() - blocks.live();
+            assert!(dead <= blocks.live().max(LANES), "after closing {b}");
+        }
+        assert_eq!(blocks.live(), 10);
+        let mut seen = Vec::new();
+        blocks.for_each_feasible(&[1], |b| seen.push(b));
+        assert_eq!(seen, (n - 10..n).collect::<Vec<_>>());
+        assert_eq!(blocks.first_feasible(&[n as u64 - 4]), Some(n - 5));
+        assert_eq!(blocks.residual(n - 1, 0), n as u64);
     }
 
     #[test]
     fn reset_keeps_arena_and_clears_bins() {
         let mut blocks = mirror(2, &[vec![9, 9]]);
         blocks.reset(2);
-        assert_eq!(blocks.bins(), 0);
-        assert_eq!(blocks.first_feasible_in(&[1, 1], 0, 0), None);
+        assert_eq!(blocks.slots(), 0);
+        assert_eq!(blocks.first_feasible(&[1, 1]), None);
         blocks.open(0, &[3, 3]);
-        assert_eq!(blocks.first_feasible_in(&[1, 1], 0, 0), Some(0));
+        assert_eq!(blocks.first_feasible(&[1, 1]), Some(0));
         // Dimensionality change rebuilds the arena.
         blocks.reset(5);
         blocks.open(0, &[1, 2, 3, 4, 5]);
@@ -462,9 +593,8 @@ mod tests {
     }
 
     proptest! {
-        /// Satellite 3 (first half): block-scan feasibility ≡ the scalar
-        /// predicate on adversarial residual/need vectors, across every
-        /// compiled backend.
+        /// Block-scan feasibility ≡ the scalar predicate on adversarial
+        /// residual/need vectors, across every compiled backend.
         #[test]
         fn mask_matches_scalar_reference(
             d in 1usize..=16,
@@ -508,44 +638,91 @@ mod tests {
                 prop_assert_eq!(unsafe { mask8_avx2(&rows, stride, 0, &need) }, expect);
             }
         }
+    }
 
-        /// Satellite 3 (second half): first-feasible identity against a
-        /// naive scan across random m and d ∈ 1..=16.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The compacted mirror under random open/pack/unpack/close
+        /// sequences, with an occasional rebuild from scratch: after
+        /// every step, first/last/all-feasible equal a naive
+        /// ascending-id scan over the open bins. Each sequence ramps
+        /// past two stride doublings, churns, then drains, so it crosses
+        /// growth and many compactions; closes favour the first and last
+        /// live slot, the edges compaction moves.
         #[test]
-        fn first_feasible_matches_naive_scan(
-            d in 1usize..=16,
-            m in 1usize..=80,
+        fn lifecycle_matches_naive_open_bin_scan(
+            d in 1usize..=9,
+            peak in 1usize..=3 * INITIAL_STRIDE,
             seed in 0u64..u64::MAX,
         ) {
-            let mut state = seed | 1;
-            let mut next = move || {
-                // xorshift64*: cheap deterministic values, small range.
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state % 16
-            };
-            let residuals: Vec<Vec<u64>> = (0..m)
-                .map(|_| (0..d).map(|_| next()).collect())
-                .collect();
-            let blocks = mirror(d, &residuals);
-            for _ in 0..8 {
-                let mut need: Vec<u64> = (0..d).map(|_| next()).collect();
-                if need.iter().all(|&n| n == 0) {
-                    need[0] = 1;
+            let mut next = rng(seed);
+            let cap = 16u64;
+            let mut blocks = ResidualBlocks::new();
+            blocks.reset(d);
+            let mut model: Vec<Vec<u64>> = Vec::new();
+            let mut open: Vec<usize> = Vec::new();
+            let mut need = vec![0u64; d];
+            let steps = 6 * peak + 40;
+            for step in 0..steps {
+                let phase = step * 3 / steps; // ramp, churn, drain
+                if next(50) == 0 {
+                    // Latch from scratch, as the engine does mid-run.
+                    blocks.rebuild(model.len(), open.iter().copied(), |b, j| model[b][j]);
                 }
-                let expect = naive_first(&residuals, &need);
-                prop_assert_eq!(blocks.first_feasible_in(&need, 0, m - 1), expect);
-                let expect_last = residuals.iter().rposition(
-                    |r| need.iter().enumerate().all(|(j, &n)| r[j] >= n));
-                prop_assert_eq!(blocks.last_feasible_in(&need, 0, m - 1), expect_last);
-                let mut hits = Vec::new();
-                blocks.for_each_feasible_in(&need, 0, m - 1, |b| hits.push(b));
-                let expect_all: Vec<usize> = (0..m)
-                    .filter(|&b| need.iter().enumerate().all(|(j, &n)| residuals[b][j] >= n))
-                    .collect();
-                prop_assert_eq!(hits, expect_all);
+                let roll = next(10);
+                let opens = match phase {
+                    0 => roll < 6 || open.is_empty(),
+                    1 => roll < 3 || open.is_empty(),
+                    _ => open.is_empty() && model.len() < peak,
+                };
+                if opens && open.len() < peak {
+                    let r: Vec<u64> = (0..d).map(|_| next(cap + 1)).collect();
+                    blocks.open(model.len(), &r);
+                    open.push(model.len());
+                    model.push(r);
+                } else if let Some(&last) = open.last() {
+                    let k = match next(4) {
+                        0 => 0,
+                        1 => open.len() - 1,
+                        _ => usize::try_from(next(open.len() as u64)).unwrap(),
+                    };
+                    let bin = if phase == 2 { last } else { open[k] };
+                    let res = &mut model[bin];
+                    match next(3) {
+                        0 => {
+                            let s: Vec<u64> = res.iter().map(|&r| next(r + 1)).collect();
+                            blocks.pack(bin, &s);
+                            res.iter_mut().zip(&s).for_each(|(r, s)| *r -= s);
+                        }
+                        1 if phase < 2 => {
+                            let s: Vec<u64> = res.iter().map(|&r| next(cap - r + 1)).collect();
+                            blocks.unpack(bin, &s);
+                            res.iter_mut().zip(&s).for_each(|(r, s)| *r += s);
+                        }
+                        _ => {
+                            blocks.close(bin);
+                            open.retain(|&b| b != bin);
+                        }
+                    }
+                }
+                prop_assert_eq!(blocks.live(), open.len());
+                let dead = blocks.slots() - open.len();
+                prop_assert!(dead <= open.len().max(LANES), "{} tombstones left", dead);
+                for _ in 0..2 {
+                    need.iter_mut().for_each(|n| *n = next(cap + 1));
+                    if need.iter().all(|&n| n == 0) {
+                        need[0] = 1;
+                    }
+                    let expect = naive_feasible(&model, &open, &need);
+                    let mut hits = Vec::new();
+                    blocks.for_each_feasible(&need, |b| hits.push(b));
+                    prop_assert_eq!(&hits, &expect);
+                    prop_assert_eq!(blocks.first_feasible(&need), expect.first().copied());
+                    prop_assert_eq!(blocks.last_feasible(&need), expect.last().copied());
+                }
             }
+            prop_assert!(blocks.slots() <= LANES, "a drained mirror keeps tombstones");
         }
     }
 }

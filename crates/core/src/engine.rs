@@ -14,11 +14,20 @@
 //!
 //! Bin state lives in flat structure-of-arrays buffers (loads in one
 //! `u64` arena with stride `d`, per-bin items as an intrusive linked list
-//! over a flat `next` array), and the engine additionally maintains a
-//! [`FitIndex`] — per-dimension max-residual segment trees — that
-//! policies query through the view for O(log m) bin selection. A reusable
-//! [`Engine`] keeps these buffers across runs, so the steady-state hot
-//! loop performs **zero heap allocations per arrival**.
+//! over a flat `next` array). Two selection structures sit beside it:
+//!
+//! * a [`ResidualBlocks`] mirror — the open bins' residuals,
+//!   dimension-major over dense slots that are compacted as bins close —
+//!   which the view's `scan_*` helpers block-scan 8 bins per step. Its
+//!   size and scan cost follow the open-bin count, not the number of
+//!   bins the run has ever opened. It is built on a run's first scan,
+//!   so Next Fit and Move To Front never pay for it;
+//! * a [`FitIndex`] — per-dimension max-residual segment trees — built
+//!   only once First or Last Fit crosses its measured crossover, for
+//!   O(log m) selection among thousands of open bins.
+//!
+//! A reusable [`Engine`] keeps these buffers across runs, so the
+//! steady-state hot loop performs **zero heap allocations per arrival**.
 //!
 //! In [`TraceMode::Full`] the engine records a full decision
 //! [`trace`](Packing::trace) so that analyses (e.g. the Move To Front
@@ -30,7 +39,6 @@
 use crate::bin::{BinId, BinUsage};
 use crate::block_scan::ResidualBlocks;
 use crate::fit_index::FitIndex;
-use crate::hybrid;
 use crate::item::{Instance, Item};
 use crate::policy::{Decision, LoadKey, Policy};
 use crate::request::PackError;
@@ -119,10 +127,13 @@ pub struct EngineView<'a> {
     /// `None` when the policy declined index maintenance for this arrival
     /// (see [`Policy::wants_index`](crate::Policy::wants_index)).
     index: Option<&'a FitIndex>,
-    /// Dimension-major residual mirror, maintained unconditionally —
-    /// the vectorized backend of the [`EngineView::scan_first_fit`]
-    /// family of scan helpers.
-    blocks: &'a ResidualBlocks,
+    /// Dimension-major residual mirror — the vectorized backend of the
+    /// [`EngineView::scan_first_fit`] family of scan helpers. `None`
+    /// until a scan helper first runs in this run: that scan takes the
+    /// scalar loop and raises `blocks_wanted`, and the engine latches
+    /// the mirror for every later arrival.
+    blocks: Option<&'a ResidualBlocks>,
+    blocks_wanted: Cell<bool>,
     /// Candidate bins the policy reported examining (see
     /// [`EngineView::note_scanned`]).
     scanned: Cell<u64>,
@@ -293,8 +304,8 @@ impl EngineView<'_> {
         self.score.set(Some(key));
     }
 
-    /// `true` when a scan over the open bins must take the scalar
-    /// per-bin probe loop instead of the block kernel:
+    /// The residual mirror a scan over the open bins should block-scan,
+    /// or `None` when it must take the scalar per-bin probe loop:
     ///
     /// * the caller forced it (`scalar` bench ablation variant);
     /// * the `scalar-scan` cargo feature is on (CI fallback leg);
@@ -303,42 +314,38 @@ impl EngineView<'_> {
     ///   its first violated dimension, which only the scalar loop
     ///   produces, keeping layer-7's `Σ scanned == #Probe` and the
     ///   byte-compared provenance corpus exact;
-    /// * the open-bin id span is too sparse for block scanning to pay
-    ///   ([`hybrid::block_scan_pays`]).
-    fn use_scalar_scan(&self, force_scalar: bool) -> bool {
+    /// * the mirror is not latched yet — this scan asks for it.
+    ///
+    /// The block kernel's cost follows the open-bin count (the mirror
+    /// is slot-compacted), so it pays at every `m` otherwise.
+    fn block_mirror(&self, force_scalar: bool) -> Option<&ResidualBlocks> {
         if force_scalar || cfg!(feature = "scalar-scan") || self.probes.is_some() {
-            return true;
+            return None;
         }
-        match self.open {
-            [] => true,
-            [first, .., last] => !hybrid::block_scan_pays(last.0 - first.0 + 1, self.open.len()),
-            [_] => false,
+        if self.blocks.is_none() {
+            self.blocks_wanted.set(true);
         }
-    }
-
-    /// Number of open bins with id ≤ `hit` — what a scalar First-Fit
-    /// scan would have probed before stopping at `hit`.
-    fn open_upto(&self, hit: usize) -> u64 {
-        self.open.partition_point(|b| b.0 <= hit) as u64
+        self.blocks
     }
 
     /// First (earliest-opened) open bin that fits `size`, via the block
-    /// kernel when profitable; result and observable scan count are
-    /// identical to probing each open bin in order. `force_scalar`
-    /// pins the scalar loop (the bench ablation's `scalar` variant).
+    /// kernel when the residual mirror is usable; result and observable
+    /// scan count are identical to probing each open bin in order.
+    /// `force_scalar` pins the scalar loop (the bench ablation's
+    /// `scalar` variant).
     #[must_use]
     pub fn scan_first_fit(&self, size: &DimVec, force_scalar: bool) -> Option<BinId> {
-        if self.use_scalar_scan(force_scalar) {
+        let Some(blocks) = self.block_mirror(force_scalar) else {
             return self.open.iter().copied().find(|&b| self.probe(b, size));
-        }
-        let (lo, hi) = (self.open[0].0, self.open[self.open.len() - 1].0);
-        match self.blocks.first_feasible_in(size.as_slice(), lo, hi) {
+        };
+        match blocks.first_feasible(size.as_slice()) {
             Some(b) => {
                 let bin = BinId(b);
                 // Exact per-bin confirm against the load arena: a
                 // desynchronized mirror must never change a packing.
                 assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
-                self.note_scanned(self.open_upto(b));
+                // A scalar scan probes every open bin with id ≤ the hit.
+                self.note_scanned(self.open.partition_point(|x| x.0 <= b) as u64);
                 Some(bin)
             }
             None => {
@@ -352,16 +359,15 @@ impl EngineView<'_> {
     /// twin of the reverse scalar scan, with identical scan counts.
     #[must_use]
     pub fn scan_last_fit(&self, size: &DimVec, force_scalar: bool) -> Option<BinId> {
-        if self.use_scalar_scan(force_scalar) {
+        let Some(blocks) = self.block_mirror(force_scalar) else {
             return self
                 .open
                 .iter()
                 .rev()
                 .copied()
                 .find(|&b| self.probe(b, size));
-        }
-        let (lo, hi) = (self.open[0].0, self.open[self.open.len() - 1].0);
-        match self.blocks.last_feasible_in(size.as_slice(), lo, hi) {
+        };
+        match blocks.last_feasible(size.as_slice()) {
             Some(b) => {
                 let bin = BinId(b);
                 assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
@@ -384,21 +390,19 @@ impl EngineView<'_> {
     /// tie-breaking and Random Fit's RNG stream depend on it). Both
     /// paths count every open bin as scanned.
     pub fn scan_feasible(&self, size: &DimVec, force_scalar: bool, mut f: impl FnMut(BinId)) {
-        if self.use_scalar_scan(force_scalar) {
+        let Some(blocks) = self.block_mirror(force_scalar) else {
             for &b in self.open {
                 if self.probe(b, size) {
                     f(b);
                 }
             }
             return;
-        }
-        let (lo, hi) = (self.open[0].0, self.open[self.open.len() - 1].0);
-        self.blocks
-            .for_each_feasible_in(size.as_slice(), lo, hi, |b| {
-                let bin = BinId(b);
-                debug_assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
-                f(bin);
-            });
+        };
+        blocks.for_each_feasible(size.as_slice(), |b| {
+            let bin = BinId(b);
+            debug_assert!(self.fits(bin, size), "residual mirror out of sync at {bin}");
+            f(bin);
+        });
         self.note_scanned(self.open.len() as u64);
     }
 }
@@ -612,12 +616,15 @@ pub struct Engine {
     open: Vec<BinId>,
     /// Max-residual segment trees over all bins.
     index: FitIndex,
-    /// Dimension-major residual mirror for vectorized scans. Unlike the
-    /// latched `index`, it is maintained unconditionally: updates are a
-    /// handful of plain stores per event, and keeping it always current
-    /// means every scan path (and every replay — batch, live, stream,
-    /// WAL recovery) sees the same state.
+    /// Dimension-major residual mirror for vectorized scans.
     blocks: ResidualBlocks,
+    /// Whether `blocks` is current. Like `index_live`, it latches on
+    /// first use: the first arrival whose policy calls a scan helper
+    /// rebuilds the mirror from the load arena, and it is maintained
+    /// for the rest of the run. Next Fit and Move To Front never scan,
+    /// so their runs pay nothing for it. The mirror never changes a
+    /// placement, so latching is invisible to every replay.
+    blocks_live: bool,
     /// Whether `index` is current. Maintenance is skipped (and this stays
     /// `false`) until the first arrival whose policy
     /// [`wants_index`](Policy::wants_index); the index is then rebuilt
@@ -657,9 +664,14 @@ impl Engine {
         self.head.clear();
         self.tail.clear();
         self.open.clear();
-        self.index.reset(self.dims);
+        // A tree that never latched last run was never written since
+        // the reset before it, so only a latched one needs zeroing.
+        if self.index_live || self.index.dims() != self.dims {
+            self.index.reset(self.dims);
+        }
         self.index_live = false;
         self.blocks.reset(self.dims);
+        self.blocks_live = false;
         self.scratch.clear();
         self.scratch.resize(self.dims, 0);
         self.next_item.clear();
@@ -830,7 +842,9 @@ impl Engine {
             if self.index_live {
                 self.index.unpack(bin.0, size.as_slice());
             }
-            self.blocks.unpack(bin.0, size.as_slice());
+            if self.blocks_live {
+                self.blocks.unpack(bin.0, size.as_slice());
+            }
         }
         policy.on_departure(item_ref, item, bin);
         observer.on_depart(dvbp_obs::Depart {
@@ -848,7 +862,9 @@ impl Engine {
             if self.index_live {
                 self.index.close(bin.0);
             }
-            self.blocks.close(bin.0);
+            if self.blocks_live {
+                self.blocks.close(bin.0);
+            }
             policy.on_close(bin);
             observer.on_bin_close(time, bin.0);
             if let Some(trace) = trace {
@@ -919,7 +935,9 @@ impl Engine {
             if self.index_live {
                 self.index.unpack(from.0, size.as_slice());
             }
-            self.blocks.unpack(from.0, size.as_slice());
+            if self.blocks_live {
+                self.blocks.unpack(from.0, size.as_slice());
+            }
         }
         policy.on_departure(item_ref, item, from);
 
@@ -930,7 +948,9 @@ impl Engine {
         if self.index_live {
             self.index.pack(to.0, size.as_slice());
         }
-        self.blocks.pack(to.0, size.as_slice());
+        if self.blocks_live {
+            self.blocks.pack(to.0, size.as_slice());
+        }
         self.active[to.0] += 1;
         self.item_count[from.0] -= 1;
         self.item_count[to.0] += 1;
@@ -969,7 +989,9 @@ impl Engine {
             if self.index_live {
                 self.index.close(from.0);
             }
-            self.blocks.close(from.0);
+            if self.blocks_live {
+                self.blocks.close(from.0);
+            }
             policy.on_close(from);
             observer.on_bin_close(time, from.0);
             if let Some(trace) = trace {
@@ -1061,7 +1083,7 @@ impl Engine {
         if O::WANTS_PROBES {
             self.probe_log.borrow_mut().clear();
         }
-        let (decision, scanned, score) = {
+        let (decision, scanned, score, blocks_wanted) = {
             let view = EngineView {
                 capacity,
                 dims: d,
@@ -1070,7 +1092,8 @@ impl Engine {
                 opened: &self.opened,
                 open: &self.open,
                 index: self.index_live.then_some(&self.index),
-                blocks: &self.blocks,
+                blocks: self.blocks_live.then_some(&self.blocks),
+                blocks_wanted: Cell::new(false),
                 scanned: Cell::new(0),
                 probes: if O::WANTS_PROBES {
                     Some(&self.probe_log)
@@ -1081,8 +1104,23 @@ impl Engine {
                 now: time,
             };
             let decision = policy.choose(&view, item_ref, item);
-            (decision, view.scanned.get(), view.score.get())
+            (
+                decision,
+                view.scanned.get(),
+                view.score.get(),
+                view.blocks_wanted.get(),
+            )
         };
+        if blocks_wanted {
+            // First scan of the run: bring the mirror up from the load
+            // arena; the placement below then updates it as usual.
+            let (loads, open) = (&self.loads, &self.open);
+            self.blocks
+                .rebuild(self.active.len(), open.iter().map(|b| b.0), |b, j| {
+                    capacity[j] - loads[b * d + j]
+                });
+            self.blocks_live = true;
+        }
         if O::WANTS_PROBES {
             for rec in self.probe_log.borrow().iter() {
                 observer.on_probe(dvbp_obs::Probe {
@@ -1128,7 +1166,9 @@ impl Engine {
                     );
                     self.scratch[j] = capacity[j] - item_ref.size[j];
                 }
-                self.blocks.open(bin.0, &self.scratch);
+                if self.blocks_live {
+                    self.blocks.open(bin.0, &self.scratch);
+                }
                 if self.index_live {
                     self.index.open(bin.0, &self.scratch);
                 }
@@ -1144,7 +1184,9 @@ impl Engine {
             if self.index_live {
                 self.index.pack(bin.0, item_ref.size.as_slice());
             }
-            self.blocks.pack(bin.0, item_ref.size.as_slice());
+            if self.blocks_live {
+                self.blocks.pack(bin.0, item_ref.size.as_slice());
+            }
         }
         self.active[bin.0] += 1;
         self.item_count[bin.0] += 1;

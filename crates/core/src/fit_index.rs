@@ -66,6 +66,12 @@ impl FitIndex {
         self.bins = 0;
     }
 
+    /// Dimensionality `d` of the indexed residual vectors.
+    #[must_use]
+    pub fn dims(&self) -> usize {
+        self.dims
+    }
+
     /// Number of bins registered via [`FitIndex::open`].
     #[must_use]
     pub fn num_bins(&self) -> usize {
@@ -314,31 +320,6 @@ impl FitIndex {
             }
         }
     }
-
-    /// Calls `f(bin, residual)` for every bin whose residual covers
-    /// `need`, in ascending bin-id order (pruned in-order traversal).
-    /// The residual slice is the cache-hot leaf just tested, so callers
-    /// ranking candidates (Best/Worst Fit) need no second lookup into the
-    /// load arena: O(log m + feasible · d) instead of the scan's O(m · d).
-    pub fn for_each_feasible(&self, need: &[u64], mut f: impl FnMut(usize, &[u64])) {
-        if self.bins == 0 {
-            return;
-        }
-        self.visit(1, need, &mut f);
-    }
-
-    fn visit(&self, i: usize, need: &[u64], f: &mut impl FnMut(usize, &[u64])) {
-        let node = self.node(i);
-        if !Self::covers(node, need) {
-            return;
-        }
-        if i >= self.leaves {
-            f(i - self.leaves, node);
-            return;
-        }
-        self.visit(2 * i, need, f);
-        self.visit(2 * i + 1, need, f);
-    }
 }
 
 #[cfg(test)]
@@ -408,21 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn enumeration_matches_scan_order() {
-        let mut idx = FitIndex::new(2);
-        let residuals = [[3u64, 4], [5, 1], [2, 2], [6, 6], [0, 9]];
-        for (b, r) in residuals.iter().enumerate() {
-            idx.open(b, r);
-        }
-        let mut seen = Vec::new();
-        idx.for_each_feasible(&[2, 2], |b, res| {
-            assert_eq!(res, &residuals[b][..]);
-            seen.push(b);
-        });
-        assert_eq!(seen, vec![0, 2, 3]);
-    }
-
-    #[test]
     fn randomized_against_naive() {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
@@ -473,18 +439,6 @@ mod tests {
                         .iter()
                         .rposition(|r| r.iter().zip(&need).all(|(a, b)| a >= b));
                     assert_eq!(idx.last_fit(&need), last, "d={d} step={step}");
-                    let mut enumerated = Vec::new();
-                    idx.for_each_feasible(&need, |b, res| {
-                        assert_eq!(res, &naive[b][..], "d={d} step={step} bin={b}");
-                        enumerated.push(b);
-                    });
-                    let expected: Vec<usize> = naive
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.iter().zip(&need).all(|(a, b)| a >= b))
-                        .map(|(b, _)| b)
-                        .collect();
-                    assert_eq!(enumerated, expected, "d={d} step={step}");
                 }
             }
         }

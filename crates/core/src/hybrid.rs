@@ -1,45 +1,47 @@
-//! Centralized scan-vs-index decision logic for the Any-Fit hybrid.
+//! The scan-vs-index decision for First Fit and Last Fit.
 //!
-//! Two independent choices are made per arrival, both pure functions of
-//! cheap engine state so every replay (batch, live, stream, WAL
-//! recovery) decides identically:
+//! [`use_index`] compares the open-bin count against a per-dimension
+//! crossover, a pure function of cheap engine state, so every replay
+//! (batch, live, stream, WAL recovery) decides identically. Below the
+//! crossover the policies block-scan the engine's residual mirror; above
+//! it they descend the [`FitIndex`](crate::FitIndex). Best Fit, Worst
+//! Fit and Random Fit always scan: they rank or sample *every* feasible
+//! bin, so tree pruning saves them little.
 //!
-//! 1. **scan vs [`FitIndex`](crate::FitIndex)** — [`use_index`] compares
-//!    the open-bin count against a per-dimension crossover. Before the
-//!    block-scan kernel, the crossover was a flat 64 bins; vectorized
-//!    scans retire [`LANES`](crate::block_scan::LANES) bins per step,
-//!    and the measured break-even *rises* with `d`: the tree descent
-//!    re-checks all `d` per-dimension structures on every step, while
-//!    the block scan streams `d` contiguous rows through the mask
-//!    kernel, so wider items amortize the scan better than the tree.
-//! 2. **block vs scalar scan** — once scanning, [`block_scan_pays`]
-//!    checks that the open-bin id *span* is not too sparse: the block
-//!    kernel walks `span / LANES` blocks, the scalar loop walks exactly
-//!    the open list, so a long-lived run whose open ids are spread over
-//!    a huge closed-id range falls back to the scalar loop.
+//! Crossover methodology: the `calibrate_hybrid` bench (in `dvbp-bench`)
+//! times each index-backed policy's pure block-scan path against its
+//! pure fit-index path on uniform workloads, sweeping `μ` (and so the
+//! steady-state open-bin count `m`) at `d ∈ {1..5, 8, 9, 12, 16}`, on
+//! two stream shapes: `dense` (`n = 4μ`) and `sparse` (`n = 20μ`, the
+//! `pack-dense` benchmark's long-stream shape, where a run opens 20–35×
+//! more bins than are ever open at once). Measured on a 2-core AVX2
+//! x86-64 VM, with run-to-run noise of ±20% near the break-even:
 //!
-//! Crossover methodology: the `calibrate_hybrid` bench (in
-//! `dvbp-bench`) times First Fit's pure block-scan path against its
-//! pure fit-index path on uniform workloads, sweeping `mu` (and
-//! therefore the steady-state open-bin count `m`) at
-//! `d ∈ {1..5, 8, 9, 12, 16}` on AVX2 x86-64. Measured break-evens:
-//! `m ≈ 60` at `d ≤ 2`, `m ≈ 130` at `d = 4`, `m ≈ 170–180` at
-//! `d ∈ {8, 9}`, and `m ≈ 250–375` at `d ∈ {12, 16}`. The table below
-//! rounds to the nearest lane-friendly step; near the boundary the two
-//! paths time within noise of each other (and are placement-identical),
-//! so a misestimate costs only nanoseconds.
-
-use crate::block_scan::LANES;
+//! * `d = 1`: the index wins from `m ≈ 200–600` (both shapes, FF and LF);
+//! * `d = 2`: break-even `m ≈ 900–2,300`, the index ahead at
+//!   `m ≈ 2,600` (the `d=2 n=8000 μ=4000` throughput row);
+//! * `3 ≤ d ≤ 12`: the scan wins or ties at every measured `m` up to
+//!   ~3,300 (First Fit at `d = 9, m ≈ 355`: 0.92M vs 0.50M items/s);
+//! * `d = 16`: the index wins from `m ≈ 350–1,200`, by up to 2× at
+//!   `m ≈ 3,400`.
+//!
+//! Before the residual mirror was slot-compacted, the scan walked the
+//! open-bin id *span*, which on long streams is 7–14× `m`, and a
+//! sparse-span fallback then dropped most arrivals to the scalar loop.
+//! The old table's index wins at `m ≈ 60–256` came from that fallback,
+//! not from the scan itself. Near each boundary the two paths are
+//! placement-identical and time within noise of each other, so a
+//! misestimate costs only nanoseconds.
 
 /// Open-bin count at which the indexed path overtakes the block scan
-/// for dimensionality `dims`.
+/// for dimensionality `dims`; `usize::MAX` where the scan always wins.
 #[must_use]
 pub(crate) fn index_crossover(dims: usize) -> usize {
     match dims {
-        0..=2 => 64,
-        3..=4 => 128,
-        5..=9 => 192,
-        _ => 256,
+        0..=1 => 512,
+        2 => 2048,
+        3..=12 => usize::MAX,
+        _ => 1024,
     }
 }
 
@@ -50,13 +52,32 @@ pub(crate) fn use_index(open_bins: usize, dims: usize) -> bool {
     open_bins >= index_crossover(dims)
 }
 
-/// `true` iff a block scan over the open-bin id span `span` beats the
-/// scalar loop over `open_bins` list entries: the kernel touches
-/// `span / LANES` blocks, so it pays until the span is more than
-/// `LANES`× sparser than the open list.
-#[must_use]
-pub(crate) fn block_scan_pays(span: usize, open_bins: usize) -> bool {
-    span <= open_bins.saturating_mul(LANES)
+/// The selection path a First or Last Fit policy takes. All four are
+/// placement-identical; the pinned ones exist for differential tests,
+/// the crossover calibration and the throughput ablation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Path {
+    /// The block scan below the crossover, the fit index above it.
+    Hybrid,
+    /// Always the block scan.
+    Scan,
+    /// Always the scalar per-bin loop.
+    Scalar,
+    /// Always the fit index.
+    Index,
+}
+
+impl Path {
+    /// `true` iff an arrival with `open_bins` open bins in `dims`
+    /// dimensions takes the fit index on this path.
+    #[must_use]
+    pub(crate) fn uses_index(self, open_bins: usize, dims: usize) -> bool {
+        match self {
+            Path::Hybrid => use_index(open_bins, dims),
+            Path::Index => true,
+            Path::Scan | Path::Scalar => false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -64,14 +85,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crossover_is_monotone_in_dims() {
-        // Wider items amortize the block scan better, so the measured
-        // break-even never falls as d grows.
-        let mut last = 0;
-        for d in 1..=16 {
-            let c = index_crossover(d);
-            assert!(c >= last, "crossover must not fall with d");
-            last = c;
+    fn scan_only_band_never_latches_the_index() {
+        for d in 3..=12 {
+            assert!(!use_index(usize::MAX - 1, d), "d={d}");
         }
     }
 
@@ -87,23 +103,10 @@ mod tests {
 
     #[test]
     fn use_index_boundary_is_exact() {
-        for d in [1, 2, 4, 8, 9, 16] {
+        for d in [1, 2, 13, 16] {
             let c = index_crossover(d);
             assert!(!use_index(c - 1, d));
             assert!(use_index(c, d));
         }
-    }
-
-    #[test]
-    fn block_scan_pays_dense_spans_only() {
-        // Dense ids: always pays.
-        assert!(block_scan_pays(100, 100));
-        // Boundary: exactly LANES× sparser still pays.
-        assert!(block_scan_pays(800, 100));
-        assert!(!block_scan_pays(801, 100));
-        // Degenerate empty state.
-        assert!(block_scan_pays(0, 0));
-        // Saturation: a huge open list never overflows.
-        assert!(block_scan_pays(usize::MAX, usize::MAX));
     }
 }

@@ -6,21 +6,20 @@
 //! average-case performance in §7 is nearly as good as First Fit's —
 //! the paper's "theory vs practice" discussion.
 //!
-//! Candidate enumeration is a hybrid: below the measured per-`(m, d)`
-//! crossover the open bins are block-scanned through the engine's
-//! vectorized residual mirror; above it, the [`FitIndex`]'s pruned
-//! in-order traversal visits only the *feasible* open bins (ascending
-//! id, so ties still resolve to the earliest bin) in
-//! O(log m + feasible·d). [`BestFit::scanning`] pins the block scan and
-//! [`BestFit::scanning_scalar`] the per-bin scalar loop for
+//! Candidates come from the engine's vectorized block scan over its
+//! slot-compacted residual mirror, visited in ascending bin id so ties
+//! resolve to the earliest bin. Best Fit ranks every feasible bin, so a
+//! pruning tree saves it little: with the mirror compacted, the block
+//! scan beat the [`FitIndex`](crate::FitIndex) enumeration 1.03–2.9× at
+//! every measured `(m, d)` point with `d ≤ 9`, and Best Fit has no index
+//! path. (At `d ≥ 12` and `m ≳ 600` the enumeration was up to 2× faster;
+//! no benchmark row, workload or paper experiment reaches that regime.)
+//! [`BestFit::scanning_scalar`] pins the per-bin scalar loop for
 //! differential tests and the throughput ablation.
-//!
-//! [`FitIndex`]: crate::FitIndex
 
 use super::{Decision, LoadKey, LoadMeasure, Policy};
 use crate::bin::BinId;
 use crate::engine::EngineView;
-use crate::hybrid;
 use crate::item::Item;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -29,85 +28,36 @@ use std::cmp::Ordering;
 #[derive(Clone, Copy, Debug)]
 pub struct BestFit {
     measure: LoadMeasure,
-    scan: bool,
     scalar: bool,
-    /// Explicit scan-vs-index crossover; `None` uses the measured
-    /// per-`(m, d)` table of the `hybrid` module.
-    threshold: Option<usize>,
 }
 
 impl BestFit {
     /// Creates a Best Fit policy using `measure` to rank bins, on the
-    /// hybrid path: block-scans below the measured per-`(m, d)`
-    /// crossover, indexed candidate enumeration above it.
+    /// vectorized block scan.
     #[must_use]
     pub fn new(measure: LoadMeasure) -> Self {
         BestFit {
             measure,
-            scan: false,
             scalar: false,
-            threshold: None,
         }
     }
 
-    /// Creates the always-scanning variant (vectorized block kernel) —
-    /// placement-identical to [`BestFit::new`].
+    /// The block-scan variant: the same policy as [`BestFit::new`],
+    /// named to match the other Any-Fit policies' `scanning`.
     #[must_use]
     pub fn scanning(measure: LoadMeasure) -> Self {
-        BestFit {
-            measure,
-            scan: true,
-            scalar: false,
-            threshold: None,
-        }
+        Self::new(measure)
     }
 
     /// Creates the scalar per-bin scan variant — placement-identical to
-    /// [`BestFit::scanning`], O(m·d) per arrival. The before-side of
-    /// the `simd`-vs-`scalar` throughput ablation.
+    /// [`BestFit::new`], O(m·d) per arrival. The before-side of the
+    /// `simd`-vs-`scalar` throughput ablation.
     #[must_use]
     pub fn scanning_scalar(measure: LoadMeasure) -> Self {
         BestFit {
             measure,
-            scan: true,
             scalar: true,
-            threshold: None,
         }
-    }
-
-    /// Creates the always-indexed variant (pruned tree enumeration
-    /// regardless of `m`) — placement-identical to [`BestFit::new`].
-    /// Used by the crossover calibration bench to time the pure index
-    /// path.
-    #[must_use]
-    pub fn indexed(measure: LoadMeasure) -> Self {
-        BestFit {
-            measure,
-            scan: false,
-            scalar: false,
-            threshold: Some(0),
-        }
-    }
-
-    /// Indexed variant with an explicit scan-fallback threshold; tests use
-    /// 0 to force the tree enumeration even on tiny instances.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_scan_threshold(measure: LoadMeasure, threshold: usize) -> Self {
-        BestFit {
-            measure,
-            scan: false,
-            scalar: false,
-            threshold: Some(threshold),
-        }
-    }
-
-    fn use_index(&self, open_bins: usize, dims: usize) -> bool {
-        !self.scan
-            && match self.threshold {
-                Some(t) => open_bins >= t,
-                None => hybrid::use_index(open_bins, dims),
-            }
     }
 
     /// The configured load measure.
@@ -127,32 +77,18 @@ impl Policy for BestFit {
         let measure = self.measure;
         // Each candidate's measure is evaluated once into a key; the
         // incumbent's key rides along. Strictly-greater keeps the
-        // earliest-opened bin on ties; both enumerations visit candidates
-        // in ascending bin id.
+        // earliest-opened bin on ties; candidates arrive in ascending
+        // bin id.
         let mut best: Option<(BinId, LoadKey)> = None;
-        let mut consider = |b: BinId, key: LoadKey| {
+        view.scan_feasible(&item.size, self.scalar, |b| {
+            let key = measure.key(view.load(b), cap);
             best = Some(match best {
-                None => (b, key),
-                Some((cur, cur_key)) => match key.compare(&cur_key) {
-                    Ordering::Greater => (b, key),
-                    _ => (cur, cur_key),
-                },
+                Some((cur, cur_key)) if key.compare(&cur_key) != Ordering::Greater => {
+                    (cur, cur_key)
+                }
+                _ => (b, key),
             });
-        };
-        if !self.use_index(view.open_bins().len(), view.dim()) {
-            // Block-path candidates rank by `measure.key` over the
-            // bin-major load arena — the same `LoadKey` the index arm
-            // derives from residuals, so placements are identical.
-            view.scan_feasible(&item.size, self.scalar, |b| {
-                consider(b, measure.key(view.load(b), cap));
-            });
-        } else {
-            view.index()
-                .for_each_feasible(item.size.as_slice(), |b, res| {
-                    view.probe_known_feasible(BinId(b));
-                    consider(BinId(b), measure.key_from_residual(res, cap));
-                });
-        }
+        });
         best.map_or(Decision::OpenNew, |(b, key)| {
             view.note_score(key);
             Decision::Existing(b)
@@ -160,10 +96,6 @@ impl Policy for BestFit {
     }
 
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, _bin: BinId, _newly_opened: bool) {}
-
-    fn wants_index(&self, open_bins: usize, dims: usize) -> bool {
-        self.use_index(open_bins, dims)
-    }
 }
 
 #[cfg(test)]
@@ -242,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn scanning_variant_is_placement_identical() {
+    fn scalar_variant_is_placement_identical() {
         let inst = Instance::new(
             DimVec::from_slice(&[10, 10]),
             vec![
@@ -260,10 +192,9 @@ mod tests {
             LoadMeasure::L2,
             LoadMeasure::Lp(4),
         ] {
-            // Threshold 0 forces the tree enumeration on this small case.
-            let indexed = pack(&inst, &mut BestFit::with_scan_threshold(m, 0));
-            let scanned = pack(&inst, &mut BestFit::scanning(m));
-            assert_eq!(indexed, scanned, "{m}");
+            let scalar = pack(&inst, &mut BestFit::scanning_scalar(m));
+            let block = pack(&inst, &mut BestFit::new(m));
+            assert_eq!(scalar, block, "{m}");
         }
     }
 }

@@ -3,22 +3,25 @@
 //! CR bounds from the paper: at most `(μ+2)d + 1` (Thm 3), at least
 //! `(μ+1)d` (Thm 5).
 //!
-//! Selection is a hybrid: below the measured per-`(m, d)` crossover the
-//! open bins are block-scanned through the engine's vectorized residual
-//! mirror ([`ResidualBlocks`](crate::ResidualBlocks)); above it, the
-//! [`FitIndex`] — the leftmost feasible leaf of the per-dimension
-//! max-residual segment trees — answers in O(log m) expected time.
-//! [`FirstFit::scanning`] pins the block scan and
-//! [`FirstFit::scanning_scalar`] the per-bin scalar loop (the
-//! throughput ablation's before-side); all three produce identical
-//! placements.
+//! Selection is a hybrid. Below the measured per-`d` crossover of the
+//! `hybrid` module, the open bins are block-scanned through the engine's
+//! slot-compacted residual mirror
+//! ([`ResidualBlocks`](crate::ResidualBlocks)). Above it, the
+//! [`FitIndex`] answers with the leftmost feasible leaf of its
+//! per-dimension max-residual segment trees, in O(log m) expected time.
+//! Since the mirror stopped scanning closed-bin ids, the crossover sits
+//! at hundreds to thousands of open bins, and at `3 ≤ d ≤ 9` the scan
+//! wins at every measured `m`. [`FirstFit::scanning`] pins the block
+//! scan, [`FirstFit::indexed`] the index, and
+//! [`FirstFit::scanning_scalar`] the per-bin scalar loop (the throughput
+//! ablation's before-side); all four produce identical placements.
 //!
 //! [`FitIndex`]: crate::FitIndex
 
 use super::{Decision, Policy};
 use crate::bin::BinId;
 use crate::engine::EngineView;
-use crate::hybrid;
+use crate::hybrid::Path;
 use crate::item::Item;
 use std::borrow::Cow;
 
@@ -26,11 +29,7 @@ use std::borrow::Cow;
 /// index are already ordered by opening time.
 #[derive(Clone, Copy, Debug)]
 pub struct FirstFit {
-    scan: bool,
-    scalar: bool,
-    /// Explicit scan-vs-index crossover; `None` uses the measured
-    /// per-`(m, d)` table of the `hybrid` module.
-    threshold: Option<usize>,
+    path: Path,
 }
 
 impl Default for FirstFit {
@@ -41,15 +40,11 @@ impl Default for FirstFit {
 
 impl FirstFit {
     /// Creates a First Fit policy on the hybrid path: block-scans the
-    /// open bins below the measured per-`(m, d)` crossover, and uses
+    /// open bins below the measured per-`d` crossover, and uses
     /// the indexed O(log m) query above it.
     #[must_use]
     pub fn new() -> Self {
-        FirstFit {
-            scan: false,
-            scalar: false,
-            threshold: None,
-        }
+        FirstFit { path: Path::Hybrid }
     }
 
     /// Creates a First Fit policy that always scans the open bins (via
@@ -57,11 +52,7 @@ impl FirstFit {
     /// [`FirstFit::new`], O(m·d / LANES) per arrival.
     #[must_use]
     pub fn scanning() -> Self {
-        FirstFit {
-            scan: true,
-            scalar: false,
-            threshold: None,
-        }
+        FirstFit { path: Path::Scan }
     }
 
     /// Creates the scalar per-bin scan variant — placement-identical to
@@ -69,11 +60,7 @@ impl FirstFit {
     /// the `simd`-vs-`scalar` throughput ablation.
     #[must_use]
     pub fn scanning_scalar() -> Self {
-        FirstFit {
-            scan: true,
-            scalar: true,
-            threshold: None,
-        }
+        FirstFit { path: Path::Scalar }
     }
 
     /// Creates the always-indexed variant (fit-index descent regardless
@@ -81,31 +68,7 @@ impl FirstFit {
     /// crossover calibration bench to time the pure index path.
     #[must_use]
     pub fn indexed() -> Self {
-        FirstFit {
-            scan: false,
-            scalar: false,
-            threshold: Some(0),
-        }
-    }
-
-    /// Indexed variant with an explicit scan-fallback threshold; tests use
-    /// 0 to force the tree descent even on tiny instances.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_scan_threshold(threshold: usize) -> Self {
-        FirstFit {
-            scan: false,
-            scalar: false,
-            threshold: Some(threshold),
-        }
-    }
-
-    fn use_index(&self, open_bins: usize, dims: usize) -> bool {
-        !self.scan
-            && match self.threshold {
-                Some(t) => open_bins >= t,
-                None => hybrid::use_index(open_bins, dims),
-            }
+        FirstFit { path: Path::Index }
     }
 }
 
@@ -115,8 +78,8 @@ impl Policy for FirstFit {
     }
 
     fn choose(&mut self, view: &EngineView<'_>, item: &Item, _item_idx: usize) -> Decision {
-        if !self.use_index(view.open_bins().len(), view.dim()) {
-            return match view.scan_first_fit(&item.size, self.scalar) {
+        if !self.path.uses_index(view.open_bins().len(), view.dim()) {
+            return match view.scan_first_fit(&item.size, self.path == Path::Scalar) {
                 Some(bin) => Decision::Existing(bin),
                 None => Decision::OpenNew,
             };
@@ -135,7 +98,7 @@ impl Policy for FirstFit {
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, _bin: BinId, _newly_opened: bool) {}
 
     fn wants_index(&self, open_bins: usize, dims: usize) -> bool {
-        self.use_index(open_bins, dims)
+        self.path.uses_index(open_bins, dims)
     }
 }
 
@@ -226,8 +189,8 @@ mod tests {
             ],
         )
         .unwrap();
-        // Threshold 0 forces the tree descent on this small case.
-        let indexed = pack(&inst, &mut FirstFit::with_scan_threshold(0));
+        // The pinned index path: the hybrid would scan a case this small.
+        let indexed = pack(&inst, &mut FirstFit::indexed());
         let scanned = pack(&inst, &mut FirstFit::scanning());
         assert_eq!(indexed, scanned);
     }

@@ -1,15 +1,18 @@
-//! Indexed First Fit: kept as a named alias of [`FirstFit`]'s indexed
-//! query path.
+//! Indexed First Fit: First Fit pinned to its fit-index query path.
 //!
 //! Historically this policy carried its own `d = 1` max-residual segment
 //! tree and fell back to a linear scan for `d ≥ 2`. The engine now
-//! maintains a generalized per-dimension fit index ([`FitIndex`]) for
-//! *every* policy, so the structure lives there and works in any
-//! dimension; this type remains so that `PolicyKind::IndexedFirstFit`,
-//! CLI names, and recorded traces keep resolving. Placement decisions
-//! are identical to [`FirstFit`] by construction.
+//! maintains a generalized per-dimension fit index ([`FitIndex`]), so
+//! the structure lives there and works in any dimension; this type
+//! remains so that `PolicyKind::IndexedFirstFit`, CLI names, and
+//! recorded traces keep resolving. It runs [`FirstFit::indexed`] — the
+//! index descent at every open-bin count — so the conformance harness's
+//! `IndexedFirstFit ≡ FirstFit` check covers the index path even on
+//! instances that never reach the hybrid's crossover. Placement
+//! decisions are identical to [`FirstFit`] by construction.
 //!
 //! [`FirstFit`]: super::first_fit::FirstFit
+//! [`FirstFit::indexed`]: super::first_fit::FirstFit::indexed
 //! [`FitIndex`]: crate::FitIndex
 
 use super::first_fit::FirstFit;
@@ -19,8 +22,8 @@ use crate::engine::EngineView;
 use crate::item::Item;
 use std::borrow::Cow;
 
-/// First Fit under its historical "indexed" name.
-#[derive(Clone, Copy, Debug, Default)]
+/// First Fit on the fit-index path, under its historical name.
+#[derive(Clone, Copy, Debug)]
 pub struct IndexedFirstFit {
     inner: FirstFit,
 }
@@ -30,8 +33,14 @@ impl IndexedFirstFit {
     #[must_use]
     pub fn new() -> Self {
         IndexedFirstFit {
-            inner: FirstFit::new(),
+            inner: FirstFit::indexed(),
         }
+    }
+}
+
+impl Default for IndexedFirstFit {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

@@ -3,30 +3,27 @@
 //! The mirror image of First Fit, included in the paper's experimental
 //! study. No competitive-ratio bound is claimed for it.
 //!
-//! Selection is a hybrid: below the measured per-`(m, d)` crossover the
-//! open bins are block-scanned (highest feasible id) through the
-//! engine's vectorized residual mirror; above it, the [`FitIndex`]
-//! right-first descent (rightmost feasible leaf) answers in O(log m)
-//! expected time. [`LastFit::scanning`] pins the block scan,
-//! [`LastFit::scanning_scalar`] the reverse per-bin scalar loop.
+//! Selection is the same hybrid as First Fit's: below the measured
+//! per-`d` crossover the engine's slot-compacted residual mirror is
+//! block-scanned for the highest feasible id; above it, the
+//! [`FitIndex`] right-first descent (rightmost feasible leaf) answers in
+//! O(log m) expected time. [`LastFit::scanning`] pins the block scan,
+//! [`LastFit::indexed`] the index, and [`LastFit::scanning_scalar`] the
+//! reverse per-bin scalar loop.
 //!
 //! [`FitIndex`]: crate::FitIndex
 
 use super::{Decision, Policy};
 use crate::bin::BinId;
 use crate::engine::EngineView;
-use crate::hybrid;
+use crate::hybrid::Path;
 use crate::item::Item;
 use std::borrow::Cow;
 
 /// The Last Fit policy. Stateless.
 #[derive(Clone, Copy, Debug)]
 pub struct LastFit {
-    scan: bool,
-    scalar: bool,
-    /// Explicit scan-vs-index crossover; `None` uses the measured
-    /// per-`(m, d)` table of the `hybrid` module.
-    threshold: Option<usize>,
+    path: Path,
 }
 
 impl Default for LastFit {
@@ -37,26 +34,18 @@ impl Default for LastFit {
 
 impl LastFit {
     /// Creates a Last Fit policy on the hybrid path: block-scans below
-    /// the measured per-`(m, d)` crossover, indexed O(log m) query
+    /// the measured per-`d` crossover, indexed O(log m) query
     /// above it.
     #[must_use]
     pub fn new() -> Self {
-        LastFit {
-            scan: false,
-            scalar: false,
-            threshold: None,
-        }
+        LastFit { path: Path::Hybrid }
     }
 
     /// Creates the always-scanning variant (vectorized block kernel,
     /// highest feasible id) — placement-identical to [`LastFit::new`].
     #[must_use]
     pub fn scanning() -> Self {
-        LastFit {
-            scan: true,
-            scalar: false,
-            threshold: None,
-        }
+        LastFit { path: Path::Scan }
     }
 
     /// Creates the scalar reverse-scan variant — placement-identical to
@@ -64,11 +53,7 @@ impl LastFit {
     /// the `simd`-vs-`scalar` throughput ablation.
     #[must_use]
     pub fn scanning_scalar() -> Self {
-        LastFit {
-            scan: true,
-            scalar: true,
-            threshold: None,
-        }
+        LastFit { path: Path::Scalar }
     }
 
     /// Creates the always-indexed variant (fit-index descent regardless
@@ -76,31 +61,7 @@ impl LastFit {
     /// crossover calibration bench to time the pure index path.
     #[must_use]
     pub fn indexed() -> Self {
-        LastFit {
-            scan: false,
-            scalar: false,
-            threshold: Some(0),
-        }
-    }
-
-    /// Indexed variant with an explicit scan-fallback threshold; tests use
-    /// 0 to force the tree descent even on tiny instances.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_scan_threshold(threshold: usize) -> Self {
-        LastFit {
-            scan: false,
-            scalar: false,
-            threshold: Some(threshold),
-        }
-    }
-
-    fn use_index(&self, open_bins: usize, dims: usize) -> bool {
-        !self.scan
-            && match self.threshold {
-                Some(t) => open_bins >= t,
-                None => hybrid::use_index(open_bins, dims),
-            }
+        LastFit { path: Path::Index }
     }
 }
 
@@ -110,8 +71,8 @@ impl Policy for LastFit {
     }
 
     fn choose(&mut self, view: &EngineView<'_>, item: &Item, _item_idx: usize) -> Decision {
-        if !self.use_index(view.open_bins().len(), view.dim()) {
-            return match view.scan_last_fit(&item.size, self.scalar) {
+        if !self.path.uses_index(view.open_bins().len(), view.dim()) {
+            return match view.scan_last_fit(&item.size, self.path == Path::Scalar) {
                 Some(bin) => Decision::Existing(bin),
                 None => Decision::OpenNew,
             };
@@ -130,7 +91,7 @@ impl Policy for LastFit {
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, _bin: BinId, _newly_opened: bool) {}
 
     fn wants_index(&self, open_bins: usize, dims: usize) -> bool {
-        self.use_index(open_bins, dims)
+        self.path.uses_index(open_bins, dims)
     }
 }
 
@@ -185,8 +146,8 @@ mod tests {
             ],
         )
         .unwrap();
-        // Threshold 0 forces the tree descent on this small case.
-        let indexed = pack(&inst, &mut LastFit::with_scan_threshold(0));
+        // The pinned index path: the hybrid would scan a case this small.
+        let indexed = pack(&inst, &mut LastFit::indexed());
         let scanned = pack(&inst, &mut LastFit::scanning());
         assert_eq!(indexed, scanned);
     }

@@ -76,18 +76,14 @@ pub trait Policy: Send {
     /// The engine performs **no** fit-index maintenance until the first
     /// arrival for which this returns `true`; it then rebuilds the index
     /// from the load arena once and keeps it current for the rest of the
-    /// run. Policies that never touch the index (pure scans, Next Fit,
-    /// Move To Front) return `false` and make every run index-free.
-    /// Querying the index after returning `false` panics.
+    /// run. Querying the index after returning `false` panics.
     ///
-    /// The Any-Fit hybrids answer with the centralized per-`(m, d)`
-    /// crossover of the `hybrid` module — the same predicate `choose`
-    /// uses to pick its path, so the index is live exactly when queried.
-    ///
-    /// Defaults to `true` (always maintained) — the safe choice for
-    /// custom policies.
+    /// Only First Fit and Last Fit opt in, above the centralized
+    /// per-`d` crossover of the `hybrid` module — the same predicate
+    /// `choose` uses to pick its path, so the index is live exactly when
+    /// queried. Defaults to `false`: every other policy scans.
     fn wants_index(&self, _open_bins: usize, _dims: usize) -> bool {
-        true
+        false
     }
 
     /// Notification that the item was packed (after loads are updated).

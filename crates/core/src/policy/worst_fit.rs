@@ -4,18 +4,15 @@
 //! Fit; it spreads load thin and, as §7 observes, has the worst average
 //! performance of the seven algorithms.
 //!
-//! Like [`BestFit`](super::best_fit::BestFit), candidates come from the
-//! vectorized block scan below the per-`(m, d)` crossover and from the
-//! engine's [`FitIndex`] pruned enumeration above it (ascending bin id,
-//! earliest bin on ties); [`WorstFit::scanning`] pins the block scan,
-//! [`WorstFit::scanning_scalar`] the per-bin scalar loop.
-//!
-//! [`FitIndex`]: crate::FitIndex
+//! Like [`BestFit`](super::best_fit::BestFit), candidates come from
+//! the engine's vectorized block scan (ascending bin id, earliest bin on
+//! ties); there is no fit-index path, because ranking every feasible bin
+//! gains little from tree pruning. [`WorstFit::scanning_scalar`] pins
+//! the per-bin scalar loop.
 
 use super::{Decision, LoadKey, LoadMeasure, Policy};
 use crate::bin::BinId;
 use crate::engine::EngineView;
-use crate::hybrid;
 use crate::item::Item;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -24,85 +21,36 @@ use std::cmp::Ordering;
 #[derive(Clone, Copy, Debug)]
 pub struct WorstFit {
     measure: LoadMeasure,
-    scan: bool,
     scalar: bool,
-    /// Explicit scan-vs-index crossover; `None` uses the measured
-    /// per-`(m, d)` table of the `hybrid` module.
-    threshold: Option<usize>,
 }
 
 impl WorstFit {
     /// Creates a Worst Fit policy using `measure` to rank bins, on the
-    /// hybrid path: block-scans below the measured per-`(m, d)`
-    /// crossover, indexed candidate enumeration above it.
+    /// vectorized block scan.
     #[must_use]
     pub fn new(measure: LoadMeasure) -> Self {
         WorstFit {
             measure,
-            scan: false,
             scalar: false,
-            threshold: None,
         }
     }
 
-    /// Creates the always-scanning variant (vectorized block kernel) —
-    /// placement-identical to [`WorstFit::new`].
+    /// The block-scan variant: the same policy as [`WorstFit::new`],
+    /// named to match the other Any-Fit policies' `scanning`.
     #[must_use]
     pub fn scanning(measure: LoadMeasure) -> Self {
-        WorstFit {
-            measure,
-            scan: true,
-            scalar: false,
-            threshold: None,
-        }
+        Self::new(measure)
     }
 
     /// Creates the scalar per-bin scan variant — placement-identical to
-    /// [`WorstFit::scanning`], O(m·d) per arrival. The before-side of
-    /// the `simd`-vs-`scalar` throughput ablation.
+    /// [`WorstFit::new`], O(m·d) per arrival. The before-side of the
+    /// `simd`-vs-`scalar` throughput ablation.
     #[must_use]
     pub fn scanning_scalar(measure: LoadMeasure) -> Self {
         WorstFit {
             measure,
-            scan: true,
             scalar: true,
-            threshold: None,
         }
-    }
-
-    /// Creates the always-indexed variant (pruned tree enumeration
-    /// regardless of `m`) — placement-identical to [`WorstFit::new`].
-    /// Used by the crossover calibration bench to time the pure index
-    /// path.
-    #[must_use]
-    pub fn indexed(measure: LoadMeasure) -> Self {
-        WorstFit {
-            measure,
-            scan: false,
-            scalar: false,
-            threshold: Some(0),
-        }
-    }
-
-    /// Indexed variant with an explicit scan-fallback threshold; tests use
-    /// 0 to force the tree enumeration even on tiny instances.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_scan_threshold(measure: LoadMeasure, threshold: usize) -> Self {
-        WorstFit {
-            measure,
-            scan: false,
-            scalar: false,
-            threshold: Some(threshold),
-        }
-    }
-
-    fn use_index(&self, open_bins: usize, dims: usize) -> bool {
-        !self.scan
-            && match self.threshold {
-                Some(t) => open_bins >= t,
-                None => hybrid::use_index(open_bins, dims),
-            }
     }
 }
 
@@ -118,26 +66,13 @@ impl Policy for WorstFit {
         // incumbent's key rides along. Strictly-less keeps the
         // earliest-opened bin on ties.
         let mut best: Option<(BinId, LoadKey)> = None;
-        let mut consider = |b: BinId, key: LoadKey| {
+        view.scan_feasible(&item.size, self.scalar, |b| {
+            let key = measure.key(view.load(b), cap);
             best = Some(match best {
-                None => (b, key),
-                Some((cur, cur_key)) => match key.compare(&cur_key) {
-                    Ordering::Less => (b, key),
-                    _ => (cur, cur_key),
-                },
+                Some((cur, cur_key)) if key.compare(&cur_key) != Ordering::Less => (cur, cur_key),
+                _ => (b, key),
             });
-        };
-        if !self.use_index(view.open_bins().len(), view.dim()) {
-            view.scan_feasible(&item.size, self.scalar, |b| {
-                consider(b, measure.key(view.load(b), cap));
-            });
-        } else {
-            view.index()
-                .for_each_feasible(item.size.as_slice(), |b, res| {
-                    view.probe_known_feasible(BinId(b));
-                    consider(BinId(b), measure.key_from_residual(res, cap));
-                });
-        }
+        });
         best.map_or(Decision::OpenNew, |(b, key)| {
             view.note_score(key);
             Decision::Existing(b)
@@ -145,10 +80,6 @@ impl Policy for WorstFit {
     }
 
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, _bin: BinId, _newly_opened: bool) {}
-
-    fn wants_index(&self, open_bins: usize, dims: usize) -> bool {
-        self.use_index(open_bins, dims)
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn scanning_variant_is_placement_identical() {
+    fn scalar_variant_is_placement_identical() {
         let inst = Instance::new(
             DimVec::from_slice(&[10, 10]),
             vec![
@@ -214,10 +145,9 @@ mod tests {
         )
         .unwrap();
         for m in [LoadMeasure::Linf, LoadMeasure::L1, LoadMeasure::L2] {
-            // Threshold 0 forces the tree enumeration on this small case.
-            let indexed = pack(&inst, &mut WorstFit::with_scan_threshold(m, 0));
-            let scanned = pack(&inst, &mut WorstFit::scanning(m));
-            assert_eq!(indexed, scanned, "{m}");
+            let scalar = pack(&inst, &mut WorstFit::scanning_scalar(m));
+            let block = pack(&inst, &mut WorstFit::new(m));
+            assert_eq!(scalar, block, "{m}");
         }
     }
 }

@@ -61,35 +61,19 @@ fn instances_hd() -> impl Strategy<Value = Instance> {
     })
 }
 
-/// Packs `inst` with both variants of every indexed/scan policy pair and
+/// Packs `inst` with both variants of every indexed/scan policy pair
+/// (First Fit and Last Fit, the two policies with an index path) and
 /// asserts full `Packing` equality.
 fn assert_indexed_matches_scan(inst: &Instance) -> Result<(), TestCaseError> {
-    // Threshold 0 forces the tree path — the default hybrid would scan on
-    // instances this small and the comparison would be vacuous.
-    let indexed = pack(inst, &mut FirstFit::with_scan_threshold(0));
+    // The pinned index path — the default hybrid would scan on instances
+    // this small and the comparison would be vacuous.
+    let indexed = pack(inst, &mut FirstFit::indexed());
     let scanned = pack(inst, &mut FirstFit::scanning());
     prop_assert_eq!(indexed, scanned, "FirstFit");
 
-    let indexed = pack(inst, &mut LastFit::with_scan_threshold(0));
+    let indexed = pack(inst, &mut LastFit::indexed());
     let scanned = pack(inst, &mut LastFit::scanning());
     prop_assert_eq!(indexed, scanned, "LastFit");
-
-    for m in [
-        LoadMeasure::Linf,
-        LoadMeasure::L1,
-        LoadMeasure::L2,
-        LoadMeasure::Lp(3),
-    ] {
-        // Threshold 0 forces the tree enumeration (the default hybrid
-        // would scan on instances this small).
-        let indexed = pack(inst, &mut BestFit::with_scan_threshold(m, 0));
-        let scanned = pack(inst, &mut BestFit::scanning(m));
-        prop_assert_eq!(indexed, scanned, "BestFit[{}]", m);
-
-        let indexed = pack(inst, &mut WorstFit::with_scan_threshold(m, 0));
-        let scanned = pack(inst, &mut WorstFit::scanning(m));
-        prop_assert_eq!(indexed, scanned, "WorstFit[{}]", m);
-    }
     Ok(())
 }
 
@@ -442,4 +426,141 @@ proptest! {
             prop_assert_eq!(p.cost(), integral, "{}", kind.name());
         }
     }
+}
+
+/// A small `pack-dense`-shaped stream: d = 4, sizes U{1..100} in bins
+/// of 100, arrivals uniform over `T = n` ticks, lifetimes U{1..μ}. Any-Fit
+/// policies keep refilling their oldest bins, so those stay open while
+/// thousands of younger ones open and close behind them.
+fn long_sparse_stream() -> Instance {
+    let (d, n, mu) = (4usize, 4000u64, 160u64);
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = |bound: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % bound
+    };
+    let items = (0..n)
+        .map(|_| {
+            let size: Vec<u64> = (0..d).map(|_| 1 + next(100)).collect();
+            let a = next(n);
+            Item::new(DimVec::from_slice(&size), a, a + 1 + next(mu))
+        })
+        .collect();
+    Instance::new(DimVec::splat(d, 100), items).expect("generated instance valid")
+}
+
+/// Largest ratio, over bin openings, of the open-bin id span to the
+/// number of open bins.
+fn max_span_ratio(p: &Packing) -> f64 {
+    let mut worst = 0.0f64;
+    for (b, bin) in p.bins.iter().enumerate() {
+        let t = bin.opened;
+        let open: Vec<usize> = (0..=b)
+            .filter(|&x| p.bins[x].opened <= t && t < p.bins[x].closed)
+            .collect();
+        let span = b - open[0] + 1;
+        worst = worst.max(span as f64 / open.len() as f64);
+    }
+    worst
+}
+
+/// The block scan in the sparse-span regime a long stream reaches: the
+/// open bins' ids spread over a span many times the open-bin count, so
+/// the slot-compacted mirror holds only a thin slice of the ids ever
+/// opened. Block and scalar scans must agree on every event, `Place`
+/// scan counts included, and the index paths on every placement.
+#[test]
+fn sparse_span_block_scan_matches_scalar() {
+    let inst = long_sparse_stream();
+    let ff = pack(&inst, &mut FirstFit::scanning_scalar());
+    let ratio = max_span_ratio(&ff);
+    assert!(
+        ratio > 8.0,
+        "stream never left the dense regime: {ratio:.1}"
+    );
+    assert!(ff.num_bins() > 20 * ff.max_concurrent_bins());
+
+    let scanned = |events: &[dvbp_obs::ObsEvent]| -> u64 {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                dvbp_obs::ObsEvent::Place { scanned, .. } => Some(*scanned),
+                _ => None,
+            })
+            .sum()
+    };
+    let check = |name: &str, block: &mut dyn crate::Policy, scalar: &mut dyn crate::Policy| {
+        let block = record_events(&inst, block);
+        let scalar = record_events(&inst, scalar);
+        assert_eq!(scanned(&block), scanned(&scalar), "{name}");
+        assert!(
+            block == scalar,
+            "{name}: block and scalar event streams differ"
+        );
+    };
+    check(
+        "FirstFit",
+        &mut FirstFit::scanning(),
+        &mut FirstFit::scanning_scalar(),
+    );
+    check(
+        "LastFit",
+        &mut LastFit::scanning(),
+        &mut LastFit::scanning_scalar(),
+    );
+    check(
+        "BestFit",
+        &mut BestFit::scanning(LoadMeasure::Linf),
+        &mut BestFit::scanning_scalar(LoadMeasure::Linf),
+    );
+    check(
+        "WorstFit",
+        &mut WorstFit::scanning(LoadMeasure::Linf),
+        &mut WorstFit::scanning_scalar(LoadMeasure::Linf),
+    );
+    let indexed = pack(&inst, &mut FirstFit::indexed());
+    assert_eq!(indexed, ff, "FirstFit indexed");
+    let indexed = pack(&inst, &mut LastFit::indexed());
+    let scalar = pack(&inst, &mut LastFit::scanning_scalar());
+    assert_eq!(indexed, scalar, "LastFit indexed");
+}
+
+/// A mid-run switch onto a scanning policy latches the residual mirror
+/// with bins already open, so it is rebuilt from the load arena. Its
+/// placements must equal the fit-index path's, which latches from the
+/// load arena independently.
+#[test]
+fn mirror_latched_mid_run_matches_the_index_path() {
+    let inst = long_sparse_stream();
+    let ops = crate::live_ops(&inst);
+    let drive = |to: PolicyKind| -> (usize, Vec<crate::BinId>) {
+        let mut live = crate::LiveRequest::new(PolicyKind::NextFit)
+            .capacity(inst.capacity.clone())
+            .build()
+            .unwrap();
+        let mut local = std::collections::HashMap::new();
+        let (mut open_at_switch, mut bins) = (0, Vec::new());
+        for (k, op) in ops.iter().enumerate() {
+            if k == ops.len() / 2 {
+                open_at_switch = live.open_bins();
+                live.switch_policy(to.clone()).unwrap();
+            }
+            match op {
+                crate::LiveOp::Arrive { item, size, time } => {
+                    let placed = live.arrive(size.clone(), *time).unwrap();
+                    local.insert(*item, placed.item);
+                    bins.push(placed.bin);
+                }
+                crate::LiveOp::Depart { item, time } => {
+                    live.depart(local[item], *time).unwrap();
+                }
+            }
+        }
+        (open_at_switch, bins)
+    };
+    let (open, scanned) = drive(PolicyKind::FirstFit);
+    assert!(open > 20, "switch saw only {open} open bins");
+    assert_eq!(scanned, drive(PolicyKind::IndexedFirstFit).1);
 }

@@ -153,9 +153,9 @@ fn build_policy(policy: &str, variant: &str) -> Box<dyn Policy> {
         ("FirstFit", "indexed") => Box::new(FirstFit::new()),
         ("FirstFit", "simd") => Box::new(FirstFit::scanning()),
         ("FirstFit", "scalar") => Box::new(FirstFit::scanning_scalar()),
-        ("BestFit", "simd") => Box::new(BestFit::scanning(LoadMeasure::Linf)),
+        ("BestFit", "simd") => Box::new(BestFit::new(LoadMeasure::Linf)),
         ("BestFit", "scalar") => Box::new(BestFit::scanning_scalar(LoadMeasure::Linf)),
-        ("WorstFit", "simd") => Box::new(WorstFit::scanning(LoadMeasure::Linf)),
+        ("WorstFit", "simd") => Box::new(WorstFit::new(LoadMeasure::Linf)),
         ("WorstFit", "scalar") => Box::new(WorstFit::scanning_scalar(LoadMeasure::Linf)),
         ("LastFit", "indexed") => Box::new(LastFit::new()),
         ("LastFit", "simd") => Box::new(LastFit::scanning()),

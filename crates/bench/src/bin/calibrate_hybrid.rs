@@ -21,6 +21,12 @@
 //! dispatch included); the index variant forces the segment-tree descent
 //! at every arrival. Both produce identical packings, so the timing
 //! difference is pure selection cost.
+//!
+//! Each point alternates the two variants over [`ROUNDS`] rounds, each
+//! on its own warm engine, so a slow stretch of a shared machine hits
+//! both sides. A round times each variant at its fastest repetition;
+//! the reported `index/scan` figure is the median over rounds of the
+//! index's speedup, with the rounds' interquartile range beside it.
 
 use dvbp_bench::bench_instance;
 use dvbp_core::policy::first_fit::FirstFit;
@@ -30,7 +36,8 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 1;
-const BUDGET: Duration = Duration::from_millis(150);
+const BUDGET: Duration = Duration::from_millis(40);
+const ROUNDS: usize = 7;
 
 /// `(name, pure block scan, pure fit index)` for every policy with an
 /// index path.
@@ -59,13 +66,9 @@ const SHAPES: [(&str, usize, &[u64]); 2] = [
     ("sparse", 20, &[60, 250, 1000, 3000]),
 ];
 
-/// Minimum-time estimator over warm repetitions (same protocol as
-/// `bench_throughput`); returns (items/sec, max concurrent bins, bins
-/// opened).
-fn measure(inst: &Instance, policy: &mut dyn Policy) -> (f64, usize, usize) {
-    let mut engine = Engine::new();
-    let warm = engine.pack(inst, policy, TraceMode::CostOnly);
-    let (max_conc, opened) = (warm.max_concurrent_bins(), warm.num_bins());
+/// Seconds of the fastest of at least 2 warm repetitions within
+/// `BUDGET` (the minimum-time estimator of `bench_throughput`).
+fn fastest(engine: &mut Engine, inst: &Instance, policy: &mut dyn Policy) -> f64 {
     let start = Instant::now();
     let mut reps = 0u32;
     let mut fastest = Duration::MAX;
@@ -74,11 +77,49 @@ fn measure(inst: &Instance, policy: &mut dyn Policy) -> (f64, usize, usize) {
         black_box(engine.pack(inst, policy, TraceMode::CostOnly).cost());
         fastest = fastest.min(t0.elapsed());
         reps += 1;
-        if reps >= 3 && start.elapsed() >= BUDGET {
-            break;
+        if reps >= 2 && start.elapsed() >= BUDGET {
+            return fastest.as_secs_f64();
         }
     }
-    (inst.len() as f64 / fastest.as_secs_f64(), max_conc, opened)
+}
+
+/// The `q`-quantile of `v` by linear interpolation; sorts `v`.
+fn quantile(v: &mut [f64], q: f64) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let at = q * (v.len() - 1) as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    v[lo] + (v[hi] - v[lo]) * (at - lo as f64)
+}
+
+/// One `(inst, scan, index)` point: (scan items/sec, index items/sec,
+/// median / first / third quartile of the per-round index speedup,
+/// max concurrent bins, bins opened).
+fn measure(
+    inst: &Instance,
+    scan: &mut dyn Policy,
+    index: &mut dyn Policy,
+) -> (f64, f64, [f64; 3], usize, usize) {
+    let (mut se, mut ie) = (Engine::new(), Engine::new());
+    let warm = se.pack(inst, scan, TraceMode::CostOnly);
+    let (max_conc, opened) = (warm.max_concurrent_bins(), warm.num_bins());
+    black_box(ie.pack(inst, index, TraceMode::CostOnly).cost());
+    let (mut best_scan, mut best_index) = (f64::MAX, f64::MAX);
+    let mut speedups = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        let (s, i) = if round % 2 == 0 {
+            let s = fastest(&mut se, inst, scan);
+            (s, fastest(&mut ie, inst, index))
+        } else {
+            let i = fastest(&mut ie, inst, index);
+            (fastest(&mut se, inst, scan), i)
+        };
+        best_scan = best_scan.min(s);
+        best_index = best_index.min(i);
+        speedups.push(s / i);
+    }
+    let quartiles = [0.5, 0.25, 0.75].map(|q| quantile(&mut speedups, q));
+    let n = inst.len() as f64;
+    (n / best_scan, n / best_index, quartiles, max_conc, opened)
 }
 
 fn main() {
@@ -86,27 +127,36 @@ fn main() {
         for (name, scan, index) in POLICIES {
             println!("== {shape} {name}");
             println!(
-                "{:>3} {:>6} {:>6} {:>7} {:>12} {:>12} {:>7}",
-                "d", "mu", "m", "opened", "scan it/s", "index it/s", "winner"
+                "{:>3} {:>6} {:>6} {:>7} {:>12} {:>12} {:>11} {:>11} {:>7}",
+                "d",
+                "mu",
+                "m",
+                "opened",
+                "scan it/s",
+                "index it/s",
+                "index/scan",
+                "(IQR)",
+                "winner"
             );
-            for d in [1usize, 2, 3, 4, 5, 8, 9, 12, 16] {
+            for d in [1usize, 2, 3, 4, 5, 8, 9, 10, 11, 12, 16] {
                 // The smallest m from which the index won every larger
                 // measured point too.
                 let mut crossover: Option<usize> = None;
                 for &mu in mus {
                     let n = (per_mu * usize::try_from(mu).expect("grid μ fits usize")).max(2000);
                     let inst = bench_instance(d, n, mu, SEED);
-                    let (scan_ips, m, opened) = measure(&inst, scan().as_mut());
-                    let (index_ips, _, _) = measure(&inst, index().as_mut());
-                    let index_wins = index_ips > scan_ips;
+                    let (scan_ips, index_ips, [med, q1, q3], m, opened) =
+                        measure(&inst, scan().as_mut(), index().as_mut());
+                    let index_wins = med > 1.0;
                     crossover = match (index_wins, crossover) {
                         (true, None) => Some(m),
                         (true, kept) => kept,
                         (false, _) => None,
                     };
                     let winner = if index_wins { "index" } else { "scan" };
+                    let iqr = format!("{q1:.2}-{q3:.2}");
                     println!(
-                        "{d:>3} {mu:>6} {m:>6} {opened:>7} {scan_ips:>12.0} {index_ips:>12.0} {winner:>7}"
+                        "{d:>3} {mu:>6} {m:>6} {opened:>7} {scan_ips:>12.0} {index_ips:>12.0} {med:>11.2} {iqr:>11} {winner:>7}"
                     );
                 }
                 match crossover {

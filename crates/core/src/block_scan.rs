@@ -20,10 +20,9 @@
 //! therefore stays bin-id order (ties, Random Fit's RNG stream and scan
 //! counts are unchanged), and a scan walks at most `max(2m, m + 8)`
 //! slots for `m` open bins — however many bins the run has opened and
-//! closed before. Bins mostly close oldest-first, so scans also start
-//! past the leading run of tombstones. Indexing by bin id
-//! instead made long streams scan the whole open-id *span*, which on
-//! cloud-shaped streams is 7–14× the open-bin count.
+//! closed before. Indexing by bin id instead made long streams scan the
+//! whole open-id *span*, which on cloud-shaped streams is 7–14× the
+//! open-bin count.
 //!
 //! Invariants that make a mask hit trustworthy without consulting the
 //! open-bin list:
@@ -79,8 +78,6 @@ pub struct ResidualBlocks {
     bin_slot: Vec<usize>,
     /// Slots holding an open bin.
     live: usize,
-    /// Every slot below `head` is a tombstone: scans start at its block.
-    head: usize,
 }
 
 impl ResidualBlocks {
@@ -106,7 +103,6 @@ impl ResidualBlocks {
         self.slot_bin.clear();
         self.bin_slot.clear();
         self.live = 0;
-        self.head = 0;
     }
 
     /// Slots a scan walks: open bins plus not-yet-compacted tombstones.
@@ -220,12 +216,6 @@ impl ResidualBlocks {
         self.live -= 1;
         if self.slot_bin.len() - self.live > self.live.max(LANES) {
             self.compact();
-        } else if slot == self.head {
-            // Bins mostly close oldest-first: skip the leading run of
-            // tombstones until the next compaction squeezes it out.
-            while self.slot_bin.get(self.head) == Some(&DEAD) {
-                self.head += 1;
-            }
         }
     }
 
@@ -257,7 +247,6 @@ impl ResidualBlocks {
             self.rows[j * stride + w..j * stride + used].fill(0);
         }
         self.slot_bin.truncate(w);
-        self.head = 0;
     }
 
     /// Scalar reference predicate: `need ≤ residual` for every
@@ -293,7 +282,7 @@ impl ResidualBlocks {
     #[must_use]
     pub fn first_feasible(&self, need: &[u64]) -> Option<usize> {
         debug_assert!(need.iter().any(|&n| n > 0), "zero need matches tombstones");
-        let mut base = self.head & !(LANES - 1);
+        let mut base = 0;
         while base < self.slot_bin.len() {
             let m = self.mask8(base, need);
             if m != 0 {
@@ -309,7 +298,7 @@ impl ResidualBlocks {
     pub fn last_feasible(&self, need: &[u64]) -> Option<usize> {
         debug_assert!(need.iter().any(|&n| n > 0), "zero need matches tombstones");
         let mut end = self.slot_bin.len().next_multiple_of(LANES);
-        while end > self.head & !(LANES - 1) {
+        while end > 0 {
             end -= LANES;
             let m = self.mask8(end, need);
             if m != 0 {
@@ -323,7 +312,7 @@ impl ResidualBlocks {
     /// order (the order the scalar scan visits open bins).
     pub fn for_each_feasible(&self, need: &[u64], mut f: impl FnMut(usize)) {
         debug_assert!(need.iter().any(|&n| n > 0), "zero need matches tombstones");
-        let mut base = self.head & !(LANES - 1);
+        let mut base = 0;
         while base < self.slot_bin.len() {
             let mut m = self.mask8(base, need);
             while m != 0 {

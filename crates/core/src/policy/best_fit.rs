@@ -42,13 +42,6 @@ impl BestFit {
         }
     }
 
-    /// The block-scan variant: the same policy as [`BestFit::new`],
-    /// named to match the other Any-Fit policies' `scanning`.
-    #[must_use]
-    pub fn scanning(measure: LoadMeasure) -> Self {
-        Self::new(measure)
-    }
-
     /// Creates the scalar per-bin scan variant — placement-identical to
     /// [`BestFit::new`], O(m·d) per arrival. The before-side of the
     /// `simd`-vs-`scalar` throughput ablation.

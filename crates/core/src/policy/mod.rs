@@ -82,6 +82,10 @@ pub trait Policy: Send {
     /// per-`d` crossover of the `hybrid` module — the same predicate
     /// `choose` uses to pick its path, so the index is live exactly when
     /// queried. Defaults to `false`: every other policy scans.
+    ///
+    /// The default used to be `true`. A custom policy that queries the
+    /// index must now override this method, or its first index query
+    /// panics.
     fn wants_index(&self, _open_bins: usize, _dims: usize) -> bool {
         false
     }

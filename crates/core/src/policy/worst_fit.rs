@@ -35,13 +35,6 @@ impl WorstFit {
         }
     }
 
-    /// The block-scan variant: the same policy as [`WorstFit::new`],
-    /// named to match the other Any-Fit policies' `scanning`.
-    #[must_use]
-    pub fn scanning(measure: LoadMeasure) -> Self {
-        Self::new(measure)
-    }
-
     /// Creates the scalar per-bin scan variant — placement-identical to
     /// [`WorstFit::new`], O(m·d) per arrival. The before-side of the
     /// `simd`-vs-`scalar` throughput ablation.

@@ -101,11 +101,11 @@ fn assert_block_scan_events_match_scalar(inst: &Instance) -> Result<(), TestCase
     prop_assert_eq!(block, scalar, "LastFit");
 
     for m in [LoadMeasure::Linf, LoadMeasure::L1] {
-        let block = record_events(inst, &mut BestFit::scanning(m));
+        let block = record_events(inst, &mut BestFit::new(m));
         let scalar = record_events(inst, &mut BestFit::scanning_scalar(m));
         prop_assert_eq!(block, scalar, "BestFit[{}]", m);
 
-        let block = record_events(inst, &mut WorstFit::scanning(m));
+        let block = record_events(inst, &mut WorstFit::new(m));
         let scalar = record_events(inst, &mut WorstFit::scanning_scalar(m));
         prop_assert_eq!(block, scalar, "WorstFit[{}]", m);
     }
@@ -512,12 +512,12 @@ fn sparse_span_block_scan_matches_scalar() {
     );
     check(
         "BestFit",
-        &mut BestFit::scanning(LoadMeasure::Linf),
+        &mut BestFit::new(LoadMeasure::Linf),
         &mut BestFit::scanning_scalar(LoadMeasure::Linf),
     );
     check(
         "WorstFit",
-        &mut WorstFit::scanning(LoadMeasure::Linf),
+        &mut WorstFit::new(LoadMeasure::Linf),
         &mut WorstFit::scanning_scalar(LoadMeasure::Linf),
     );
     let indexed = pack(&inst, &mut FirstFit::indexed());

@@ -303,12 +303,17 @@ impl fmt::Display for DimVec {
 impl Index<usize> for DimVec {
     type Output = u64;
 
+    // Inlined across crates: the engine's per-bin probe indexes item
+    // sizes and capacities once per dimension, and an out-of-line call
+    // per component dominated Move To Front's probe loop.
+    #[inline]
     fn index(&self, j: usize) -> &u64 {
         &self.as_slice()[j]
     }
 }
 
 impl IndexMut<usize> for DimVec {
+    #[inline]
     fn index_mut(&mut self, j: usize) -> &mut u64 {
         &mut self.as_mut_slice()[j]
     }

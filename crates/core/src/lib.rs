@@ -70,7 +70,10 @@ pub use live::{
 pub use policy::{Decision, LoadMeasure, Policy, PolicyKind};
 pub use repack::{ParseRepackError, RepackPolicy};
 pub use request::{PackError, PackRequest};
-pub use source::{EventSource, InstanceSource, SourceError, StreamError, StreamingLowerBound, Tap};
+pub use source::{
+    EventSource, IndexHasher, InstanceSource, ItemIndexMap, SourceError, StreamError,
+    StreamingLowerBound, Tap,
+};
 
 /// Compile-time feature summary for build-info exposition
 /// (`dvbp_build_info{features=…}` in the serving and monitor crates).

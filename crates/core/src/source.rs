@@ -63,6 +63,7 @@ use dvbp_dimvec::DimVec;
 use dvbp_obs::Observer;
 use dvbp_sim::{Cost, Time};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A failure producing the *next event* of a stream (I/O, a malformed
 /// row, an unfixably dirty trace under the `Reject` policy).
@@ -284,6 +285,37 @@ impl<S: EventSource, F: FnMut(&LiveOp)> EventSource for Tap<S, F> {
     }
 }
 
+/// Hasher for maps keyed by item indices that a source or engine
+/// assigned itself (dense, never chosen by a client): one
+/// multiply-rotate per key instead of SipHash. Maps whose keys come
+/// from a file or a peer keep `RandomState`.
+#[derive(Clone, Copy, Default)]
+pub struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's well-mixed high bits go where the table indexes.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by self-assigned item indices (see [`IndexHasher`]).
+pub type ItemIndexMap<V> = HashMap<usize, V, BuildHasherDefault<IndexHasher>>;
+
 /// Streaming form of the Lemma 1(i) load-integral lower bound
 /// (`dvbp_offline::lb_load`): folds events as they stream by, keeping
 /// only the current per-dimension load and the sizes of active items —
@@ -295,7 +327,7 @@ impl<S: EventSource, F: FnMut(&LiveOp)> EventSource for Tap<S, F> {
 pub struct StreamingLowerBound {
     capacity: DimVec,
     load: Vec<u64>,
-    sizes: HashMap<usize, DimVec>,
+    sizes: ItemIndexMap<DimVec>,
     last: Time,
     total: Cost,
     started: bool,
@@ -308,7 +340,7 @@ impl StreamingLowerBound {
         StreamingLowerBound {
             capacity: capacity.clone(),
             load: vec![0; capacity.dim()],
-            sizes: HashMap::new(),
+            sizes: ItemIndexMap::default(),
             last: 0,
             total: 0,
             started: false,

@@ -661,6 +661,11 @@ mod tests {
                 }
             }));
         }
+        // Snapshots must overlap the writers: wait for the first push,
+        // or all 200 could finish before any thread has started.
+        while ring.pushed() == 0 {
+            std::thread::yield_now();
+        }
         let mut seen = 0usize;
         for _ in 0..200 {
             for rec in ring.snapshot() {

@@ -24,20 +24,23 @@
 //! the bin capacity. Memory is O(active VMs): rows stream through the
 //! `Pending` merger and are never collected.
 
-use crate::ingest::{parse_fraction, scale_size, split_fields, DirtyPolicy, IngestStats, Pending};
+use crate::ingest::{
+    check_fraction, parse_fraction, scale_size, DirtyPolicy, IngestStats, LineReader, Pending,
+};
 use dvbp_core::{EventSource, LiveOp, SourceError};
 use dvbp_dimvec::DimVec;
 use dvbp_sim::Time;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::BufRead;
 
 /// Default tick quantization: the Azure trace's native 5-minute slots.
 pub const AZURE_TICKS_PER_DAY: u64 = 288;
 
+/// Smallest id-table size that triggers a prune.
+const MIN_PRUNE: usize = 64;
+
 /// One parsed, repaired row, held as lookahead until its arrival emits.
 struct Row {
-    vm_id: String,
     start: Time,
     /// `None` = open-ended.
     end: Option<Time>,
@@ -46,19 +49,25 @@ struct Row {
 
 /// Streaming [`EventSource`] over an Azure packing-trace CSV.
 pub struct AzureSource<R> {
-    reader: R,
+    lines: LineReader<R>,
     capacity: DimVec,
     ticks_per_day: u64,
     dirty: DirtyPolicy,
     pending: Pending,
     stats: IngestStats,
-    line_no: u64,
     /// Arrival clock: rows must not start before this tick.
     clock: Time,
-    /// Active VMs by id → departure tick (`Time::MAX` = open-ended),
-    /// for duplicate-id detection. Pruned via `expiry` on each arrival.
-    active: HashMap<String, Time>,
-    expiry: BinaryHeap<Reverse<(Time, String)>>,
+    /// Admitted VM ids → departure tick (`Time::MAX` = open-ended). An
+    /// id is running iff its departure is after the checked row's
+    /// start; departed ids are forgotten in bulk by [`Self::forget`].
+    /// Keyed with `RandomState`: the ids come from the file.
+    ids: HashMap<String, Time>,
+    /// `ids` size that triggers the next prune: twice the size after
+    /// the last one, so memory stays O(running VMs) at amortized O(1)
+    /// per row.
+    prune_at: usize,
+    /// Key buffers of forgotten ids, reused for new ones.
+    spare_ids: Vec<String>,
     lookahead: Option<Row>,
     eof: bool,
 }
@@ -83,40 +92,37 @@ impl<R: BufRead> AzureSource<R> {
         dirty: DirtyPolicy,
     ) -> Result<Self, SourceError> {
         let mut source = AzureSource {
-            reader,
+            lines: LineReader::new(reader),
             capacity: DimVec::scalar(0), // replaced below
             ticks_per_day: ticks_per_day.max(1),
             dirty,
             pending: Pending::default(),
             stats: IngestStats::default(),
-            line_no: 0,
             clock: 0,
-            active: HashMap::new(),
-            expiry: BinaryHeap::new(),
+            ids: HashMap::new(),
+            prune_at: MIN_PRUNE,
+            spare_ids: Vec::new(),
             lookahead: None,
             eof: false,
         };
         // Peek the first data row to learn the dimension count, then
         // parse it for real against the resolved capacity.
-        let Some(line) = source.next_data_line()? else {
+        let Some(starttime) = source.next_data_line()? else {
             return Err(SourceError::new("azure trace has no data rows"));
         };
-        let fields = split_fields(&line);
-        if fields.len() < 4 {
+        let (fields, line_no) = (source.lines.len(), source.lines.line_no());
+        if fields < 4 {
             return Err(SourceError::at_line(
-                source.line_no,
-                format!(
-                    "expected vmId,starttime,endtime,resources... (got {} fields)",
-                    fields.len()
-                ),
+                line_no,
+                format!("expected vmId,starttime,endtime,resources... (got {fields} fields)"),
             ));
         }
-        let d = fields.len() - 3;
+        let d = fields - 3;
         source.capacity = match capacity {
             Some(cap) if cap.dim() == d => cap,
             Some(cap) => {
                 return Err(SourceError::at_line(
-                    source.line_no,
+                    line_no,
                     format!(
                         "capacity has {} dimensions but the trace has {d} resource columns",
                         cap.dim()
@@ -125,8 +131,7 @@ impl<R: BufRead> AzureSource<R> {
             }
             None => DimVec::splat(d, 100),
         };
-        let line_no = source.line_no;
-        source.lookahead = source.parse_row(&line, line_no)?;
+        source.lookahead = source.parse_row(starttime)?;
         Ok(source)
     }
 
@@ -135,63 +140,44 @@ impl<R: BufRead> AzureSource<R> {
         self.stats
     }
 
-    /// Next non-blank, non-header line, or `None` at end of input.
-    fn next_data_line(&mut self) -> Result<Option<String>, SourceError> {
-        let mut buf = String::new();
-        loop {
-            buf.clear();
-            let n = self
-                .reader
-                .read_line(&mut buf)
-                .map_err(|e| SourceError::new(format!("read failed: {e}")))?;
-            if n == 0 {
-                return Ok(None);
+    /// Advances to the next data line, skipping header lines (any line
+    /// whose starttime column is not numeric), or returns `None` at end
+    /// of input. The header check's parse is the row's starttime:
+    /// `Some(None)` is a line too short to have that column.
+    fn next_data_line(&mut self) -> Result<Option<Option<f64>>, SourceError> {
+        while self.lines.next_line()? {
+            if self.lines.len() < 2 {
+                return Ok(Some(None));
             }
-            self.line_no += 1;
-            // First line only: strip a UTF-8 BOM so header detection and
-            // the first field survive files saved by Windows tools.
-            let line = if self.line_no == 1 {
-                buf.trim_start_matches('\u{feff}').trim()
-            } else {
-                buf.trim()
-            };
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+            if let Ok(starttime) = self.lines.field(1).parse::<f64>() {
+                return Ok(Some(Some(starttime)));
             }
-            // Header iff the starttime column is not numeric.
-            let fields = split_fields(line);
-            if fields.len() >= 2 && fields[1].parse::<f64>().is_err() {
-                continue;
-            }
-            return Ok(Some(line.to_string()));
         }
+        Ok(None)
     }
 
-    /// Quantizes a fractional-day timestamp to ticks.
-    #[allow(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        clippy::cast_precision_loss
-    )]
-    fn to_ticks(&self, days: f64) -> Time {
-        (days * self.ticks_per_day as f64).round() as Time
-    }
-
-    /// Parses one data line into a repaired [`Row`]. `Ok(None)` means
-    /// the row was dropped (duplicate id under Clamp).
-    fn parse_row(&mut self, line: &str, line_no: u64) -> Result<Option<Row>, SourceError> {
-        let fields = split_fields(line);
+    /// Parses the current data line into a repaired [`Row`];
+    /// `starttime` is its already-parsed starttime column. `Ok(None)`
+    /// means the row was dropped (duplicate id under Clamp).
+    fn parse_row(&mut self, starttime: Option<f64>) -> Result<Option<Row>, SourceError> {
         let d = self.capacity.dim();
-        if fields.len() != d + 3 {
+        let line_no = self.lines.line_no();
+        if self.lines.len() != d + 3 {
             return Err(SourceError::at_line(
                 line_no,
-                format!("expected {} fields, got {}", d + 3, fields.len()),
+                format!("expected {} fields, got {}", d + 3, self.lines.len()),
             ));
         }
+        let starttime = starttime.expect("a line with d + 3 >= 4 fields has a starttime");
         self.stats.rows += 1;
 
-        let vm_id = fields[0].to_string();
-        let mut start = self.to_ticks(parse_fraction(fields[1], line_no, "starttime")?);
+        let ticks = |days: f64| to_ticks(days, self.ticks_per_day);
+        let mut start = ticks(check_fraction(
+            starttime,
+            self.lines.field(1),
+            line_no,
+            "starttime",
+        )?);
         if start < self.clock {
             match self.dirty {
                 DirtyPolicy::Reject => {
@@ -210,10 +196,10 @@ impl<R: BufRead> AzureSource<R> {
             }
         }
 
-        let end = if fields[2].is_empty() {
+        let end = if self.lines.field(2).is_empty() {
             None
         } else {
-            let e = self.to_ticks(parse_fraction(fields[2], line_no, "endtime")?);
+            let e = ticks(parse_fraction(self.lines.field(2), line_no, "endtime")?);
             if e <= start {
                 match self.dirty {
                     DirtyPolicy::Reject => {
@@ -232,36 +218,42 @@ impl<R: BufRead> AzureSource<R> {
             }
         };
 
-        // Retire expired VMs, then check the id against live ones.
-        while let Some(Reverse((t, _))) = self.expiry.peek() {
-            if *t > start {
-                break;
-            }
-            let Some(Reverse((t, id))) = self.expiry.pop() else {
-                break;
-            };
-            if self.active.get(&id) == Some(&t) {
-                self.active.remove(&id);
-            }
+        // One hash per row: the id is copied into a recycled key buffer
+        // and looked up once, for the duplicate check and the update.
+        if self.ids.len() >= self.prune_at {
+            self.forget(start);
         }
-        if self.active.contains_key(&vm_id) {
-            match self.dirty {
+        let mut key = self.spare_ids.pop().unwrap_or_default();
+        key.clear();
+        key.push_str(self.lines.field(0));
+        let slot = match self.ids.entry(key) {
+            Entry::Occupied(running) if *running.get() > start => match self.dirty {
                 DirtyPolicy::Reject => {
                     return Err(SourceError::at_line(
                         line_no,
-                        format!("vmId {vm_id:?} duplicates a VM that is still running"),
+                        format!(
+                            "vmId {:?} duplicates a VM that is still running",
+                            running.key()
+                        ),
                     ));
                 }
                 DirtyPolicy::Clamp => {
                     self.stats.dropped_duplicates += 1;
+                    // A dropped row leaves the clock behind, so a later
+                    // row may start before it; the ids this row has seen
+                    // depart must stay departed for that row too.
+                    if start > self.clock {
+                        self.forget(start);
+                    }
                     return Ok(None);
                 }
-            }
-        }
+            },
+            slot => slot,
+        };
 
         let mut size = DimVec::zeros(d);
         for j in 0..d {
-            let frac = parse_fraction(fields[3 + j], line_no, "resource demand")?;
+            let frac = parse_fraction(self.lines.field(3 + j), line_no, "resource demand")?;
             size.as_mut_slice()[j] = scale_size(
                 frac,
                 self.capacity.as_slice()[j],
@@ -271,13 +263,26 @@ impl<R: BufRead> AzureSource<R> {
             )?;
         }
 
+        let until = end.unwrap_or(Time::MAX);
+        *slot.or_insert(until) = until;
         self.clock = start;
-        Ok(Some(Row {
-            vm_id,
-            start,
-            end,
-            size,
-        }))
+        Ok(Some(Row { start, end, size }))
+    }
+
+    /// Drops every id that departed by `now`, keeping the key buffers
+    /// for reuse, and doubles the next prune's threshold from here.
+    fn forget(&mut self, now: Time) {
+        let mut running =
+            HashMap::with_capacity_and_hasher(self.ids.capacity(), self.ids.hasher().clone());
+        for (id, until) in self.ids.drain() {
+            if until > now {
+                running.insert(id, until);
+            } else {
+                self.spare_ids.push(id);
+            }
+        }
+        self.ids = running;
+        self.prune_at = 2 * self.ids.len().max(MIN_PRUNE);
     }
 
     /// Refills the lookahead row, skipping dropped rows.
@@ -285,14 +290,21 @@ impl<R: BufRead> AzureSource<R> {
         while self.lookahead.is_none() && !self.eof {
             match self.next_data_line()? {
                 None => self.eof = true,
-                Some(line) => {
-                    let line_no = self.line_no;
-                    self.lookahead = self.parse_row(&line, line_no)?;
-                }
+                Some(starttime) => self.lookahead = self.parse_row(starttime)?,
             }
         }
         Ok(())
     }
+}
+
+/// Quantizes a fractional-day timestamp to ticks.
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_precision_loss
+)]
+fn to_ticks(days: f64, ticks_per_day: u64) -> Time {
+    (days * ticks_per_day as f64).round() as Time
 }
 
 impl<R: BufRead> EventSource for AzureSource<R> {
@@ -313,11 +325,6 @@ impl<R: BufRead> EventSource for AzureSource<R> {
             };
             let item = self.pending.admit(row.start, row.end);
             self.stats.items += 1;
-            let end = row.end.unwrap_or(Time::MAX);
-            self.active.insert(row.vm_id.clone(), end);
-            if end != Time::MAX {
-                self.expiry.push(Reverse((end, row.vm_id)));
-            }
             return Ok(Some(LiveOp::Arrive {
                 item,
                 size: row.size,
@@ -444,6 +451,57 @@ mod tests {
             2
         );
         assert_eq!(s.stats().dropped_duplicates, 0);
+    }
+
+    #[test]
+    fn a_dropped_row_ahead_of_the_clock_still_retires_departed_ids() {
+        // The dropped vm2 row (tick 4) outlasts vm1 (departs at tick 2);
+        // vm1's id is free again for a later row that starts at tick 1.
+        let text = "vm1,0.0,0.5,0.25,0.25\n\
+                    vm2,0.0,5.0,0.25,0.25\n\
+                    vm2,1.0,2.0,0.25,0.25\n\
+                    vm1,0.25,1.0,0.25,0.25\n";
+        let mut s = open(text, None, 4, DirtyPolicy::Clamp).unwrap();
+        collect(&mut s);
+        assert_eq!((s.stats().items, s.stats().dropped_duplicates), (3, 1));
+    }
+
+    #[test]
+    fn the_id_table_stays_bounded_by_running_vms() {
+        // 200k unique short-lived ids (at most 4 VMs running at once,
+        // `keep` included) must not grow the table past 2·max(4, 64).
+        let rows = 200_000u64;
+        let mut text = String::from("keep,0,,0.1\nback,0,1,0.1\n");
+        for i in 1..=rows {
+            text.push_str(&format!("u{i},{i},{},0.1\n", i + 1 + i % 3));
+        }
+        // `keep` never departed; `back` departed at tick 1 long ago.
+        let next = rows + 1;
+        let tail = format!("back,{rows},{next},0.1\nkeep,{rows},{next},0.1\n");
+        let keep_line = rows + 4;
+        text.push_str(&tail);
+
+        let mut s = open(&text, None, 1, DirtyPolicy::Clamp).unwrap();
+        let mut peak = 0;
+        while s.next_event().unwrap().is_some() {
+            peak = peak.max(s.ids.len());
+        }
+        assert!(peak <= 2 * MIN_PRUNE, "id table peaked at {peak}");
+        let st = s.stats();
+        assert_eq!(st.items, rows + 3, "the reused `back` id is admitted");
+        assert_eq!(st.dropped_duplicates, 1, "the running `keep` id is not");
+
+        let mut s = open(&text, None, 1, DirtyPolicy::Reject).unwrap();
+        let err = loop {
+            match s.next_event() {
+                Err(e) => break e,
+                Ok(op) => assert!(op.is_some(), "the `keep` duplicate must fail"),
+            }
+        };
+        assert_eq!(
+            err.to_string(),
+            format!("line {keep_line}: vmId \"keep\" duplicates a VM that is still running")
+        );
     }
 
     #[test]

@@ -30,20 +30,21 @@ pub fn write_azure_csv(
     out: &mut impl Write,
 ) -> io::Result<u64> {
     let d = capacity.dim();
-    let mut header = String::from("vmId,starttime,endtime");
+    out.write_all(b"vmId,starttime,endtime")?;
     for j in 0..d {
-        header.push_str(&format!(",res{j}"));
+        write!(out, ",res{j}")?;
     }
-    writeln!(out, "{header}")?;
+    out.write_all(b"\n")?;
     let tpd = ticks_per_day.max(1) as f64;
     let mut rows = 0u64;
     for (i, (arrival, departure, size)) in items.enumerate() {
-        let mut row = format!("vm{i},{},{}", arrival as f64 / tpd, departure as f64 / tpd);
+        let (start, end) = (arrival as f64 / tpd, departure as f64 / tpd);
+        write!(out, "vm{i},{start},{end}")?;
         for j in 0..d {
             let frac = size.as_slice()[j] as f64 / capacity.as_slice()[j] as f64;
-            row.push_str(&format!(",{frac}"));
+            write!(out, ",{frac}")?;
         }
-        writeln!(out, "{row}")?;
+        out.write_all(b"\n")?;
         rows += 1;
     }
     Ok(rows)
@@ -129,6 +130,56 @@ mod tests {
         .unwrap();
         assert_eq!(stream(&mut parsed), direct, "write→parse loses nothing");
         assert_eq!(parsed.stats().items, 300);
+    }
+
+    /// The writers' output as it was built before they wrote straight
+    /// into `out`: one `format!` string per row and per field.
+    #[allow(clippy::cast_precision_loss)]
+    fn azure_by_format(gen: &HeavyTail, tpd: u64) -> Vec<u8> {
+        let d = gen.capacity.dim();
+        let mut header = String::from("vmId,starttime,endtime");
+        for j in 0..d {
+            header.push_str(&format!(",res{j}"));
+        }
+        let mut text = format!("{header}\n");
+        for (i, (arrival, departure, size)) in gen.items().enumerate() {
+            let (a, e) = (arrival as f64 / tpd as f64, departure as f64 / tpd as f64);
+            let mut row = format!("vm{i},{a},{e}");
+            for j in 0..d {
+                let frac = size[j] as f64 / gen.capacity[j] as f64;
+                row.push_str(&format!(",{frac}"));
+            }
+            text.push_str(&format!("{row}\n"));
+        }
+        text.into_bytes()
+    }
+
+    #[test]
+    fn azure_writer_bytes_match_the_per_row_format() {
+        for (cap, tpd) in [(vec![64, 256], 288), (vec![100, 7, 1000], 24)] {
+            let gen = HeavyTail::new(500, DimVec::from_slice(&cap), 3);
+            let mut buf = Vec::new();
+            write_azure_csv(gen.items(), &gen.capacity, tpd, &mut buf).unwrap();
+            assert_eq!(buf, azure_by_format(&gen, tpd), "capacity {cap:?}");
+        }
+    }
+
+    #[test]
+    fn google_writer_bytes_are_pinned() {
+        let cap = DimVec::from_slice(&[100, 100]);
+        let items = vec![
+            (0, 7, DimVec::from_slice(&[25, 50])),
+            (3, 5, DimVec::from_slice(&[100, 1])),
+        ];
+        let mut buf = Vec::new();
+        write_google_csv(items.into_iter(), &cap, &mut buf).unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "0,,0,0,,1,synth,,,0.25,0.5,,\n\
+             3,,1,0,,1,synth,,,1,0.01,,\n\
+             5,,1,0,,4,synth,,,,,,\n\
+             7,,0,0,,4,synth,,,,,,\n"
+        );
     }
 
     #[test]

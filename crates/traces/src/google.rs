@@ -28,7 +28,7 @@
 //! zero-duration rule), arrivals are admitted in file order after them.
 //! Memory is O(active tasks + largest single-timestamp group).
 
-use crate::ingest::{parse_fraction, scale_size, split_fields, DirtyPolicy, IngestStats, Pending};
+use crate::ingest::{parse_fraction, scale_size, DirtyPolicy, IngestStats, LineReader, Pending};
 use dvbp_core::{EventSource, LiveOp, SourceError};
 use dvbp_dimvec::DimVec;
 use dvbp_sim::Time;
@@ -50,18 +50,18 @@ struct RawRow {
     job: u64,
     task: u64,
     event: u64,
-    cpu: String,
-    ram: String,
+    /// Requested CPU and memory fractions of a `SCHEDULE` row, parsed
+    /// as read; an error surfaces only if the row is admitted.
+    request: [Result<f64, SourceError>; 2],
 }
 
 /// Streaming [`EventSource`] over a Google `task_events` CSV.
 pub struct GoogleSource<R> {
-    reader: R,
+    lines: LineReader<R>,
     capacity: DimVec,
     dirty: DirtyPolicy,
     pending: Pending,
     stats: IngestStats,
-    line_no: u64,
     /// Clock = largest row timestamp read so far; later rows clamp (or
     /// reject) against it.
     clock: Time,
@@ -95,12 +95,11 @@ impl<R: BufRead> GoogleSource<R> {
             )));
         }
         Ok(GoogleSource {
-            reader,
+            lines: LineReader::new(reader),
             capacity,
             dirty,
             pending: Pending::default(),
             stats: IngestStats::default(),
-            line_no: 0,
             clock: 0,
             active: HashMap::new(),
             lookahead: None,
@@ -117,56 +116,37 @@ impl<R: BufRead> GoogleSource<R> {
     /// Next SCHEDULE/depart row, or `None` at end of input. Skips
     /// blanks, a header, and no-op event types (counting the latter).
     fn next_row(&mut self) -> Result<Option<RawRow>, SourceError> {
-        let mut buf = String::new();
-        loop {
-            buf.clear();
-            let n = self
-                .reader
-                .read_line(&mut buf)
-                .map_err(|e| SourceError::new(format!("read failed: {e}")))?;
-            if n == 0 {
-                return Ok(None);
-            }
-            self.line_no += 1;
-            let line = if self.line_no == 1 {
-                buf.trim_start_matches('\u{feff}').trim()
-            } else {
-                buf.trim()
-            };
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let fields = split_fields(line);
+        while self.lines.next_line()? {
+            let lines = &self.lines;
+            let line_no = lines.line_no();
             // Header iff the timestamp column is not numeric.
-            if fields.first().is_some_and(|f| f.parse::<u64>().is_err()) && self.line_no == 1 {
+            if line_no == 1 && lines.field(0).parse::<u64>().is_err() {
                 continue;
             }
-            if fields.len() != FIELDS {
+            if lines.len() != FIELDS {
                 return Err(SourceError::at_line(
-                    self.line_no,
-                    format!("expected {FIELDS} task_events fields, got {}", fields.len()),
+                    line_no,
+                    format!("expected {FIELDS} task_events fields, got {}", lines.len()),
                 ));
             }
             self.stats.rows += 1;
-            let parse_id = |field: &str, what: &str| -> Result<u64, SourceError> {
+            let parse_id = |i: usize, what: &str| -> Result<u64, SourceError> {
+                let field = lines.field(i);
                 field.parse().map_err(|_| {
-                    SourceError::at_line(
-                        self.line_no,
-                        format!("{what} {field:?} is not an integer"),
-                    )
+                    SourceError::at_line(line_no, format!("{what} {field:?} is not an integer"))
                 })
             };
-            let event = parse_id(fields[5], "event type")?;
+            let event = parse_id(5, "event type")?;
             if event != EV_SCHEDULE && !EV_DEPART.contains(&event) {
                 self.stats.skipped_rows += 1;
                 continue;
             }
-            let mut time = parse_id(fields[0], "timestamp")?;
+            let mut time = parse_id(0, "timestamp")?;
             if time < self.clock {
                 match self.dirty {
                     DirtyPolicy::Reject => {
                         return Err(SourceError::at_line(
-                            self.line_no,
+                            line_no,
                             format!("timestamp goes backwards ({time} after {})", self.clock),
                         ));
                     }
@@ -180,38 +160,23 @@ impl<R: BufRead> GoogleSource<R> {
             // lookahead) is clamped against the max timestamp seen, so
             // emitted group times never go backwards.
             self.clock = self.clock.max(time);
+            let request = |i: usize| {
+                if event == EV_SCHEDULE {
+                    request_fraction(lines.field(i), self.dirty, line_no)
+                } else {
+                    Ok(0.0) // departures carry no demand
+                }
+            };
             return Ok(Some(RawRow {
-                line_no: self.line_no,
+                line_no,
                 time,
-                job: parse_id(fields[2], "job id")?,
-                task: parse_id(fields[3], "task index")?,
+                job: parse_id(2, "job id")?,
+                task: parse_id(3, "task index")?,
                 event,
-                cpu: fields[9].to_string(),
-                ram: fields[10].to_string(),
+                request: [request(9), request(10)],
             }));
         }
-    }
-
-    /// Parses a resource-request field; empty means "not recorded"
-    /// (dirty: one unit under Clamp, error under Reject).
-    fn size_field(&mut self, field: &str, j: usize, line_no: u64) -> Result<u64, SourceError> {
-        let frac = if field.is_empty() {
-            match self.dirty {
-                DirtyPolicy::Reject => {
-                    return Err(SourceError::at_line(line_no, "empty resource request"));
-                }
-                DirtyPolicy::Clamp => 0.0, // scale_size turns 0 into 1 unit
-            }
-        } else {
-            parse_fraction(field, line_no, "resource request")?
-        };
-        scale_size(
-            frac,
-            self.capacity.as_slice()[j],
-            self.dirty,
-            line_no,
-            &mut self.stats.clamped_sizes,
-        )
+        Ok(None)
     }
 
     /// Reads and processes the next timestamp group: departures resolve
@@ -232,7 +197,7 @@ impl<R: BufRead> GoogleSource<R> {
                 self.lookahead = Some(r);
                 break;
             }
-            self.process_row(&r)?;
+            self.process_row(r)?;
             row = self.next_row()?;
         }
         // Departures due at the group's timestamp come before its
@@ -249,7 +214,7 @@ impl<R: BufRead> GoogleSource<R> {
     }
 
     /// Folds one SCHEDULE/depart row into the merger state.
-    fn process_row(&mut self, r: &RawRow) -> Result<(), SourceError> {
+    fn process_row(&mut self, r: RawRow) -> Result<(), SourceError> {
         let key = (r.job, r.task);
         if r.event == EV_SCHEDULE {
             if self.active.contains_key(&key) {
@@ -264,9 +229,11 @@ impl<R: BufRead> GoogleSource<R> {
                     }
                 };
             }
+            let [cpu, ram] = r.request;
+            let (cap, clamped) = (self.capacity.as_slice(), &mut self.stats.clamped_sizes);
             let size = DimVec::from_slice(&[
-                self.size_field(&r.cpu, 0, r.line_no)?,
-                self.size_field(&r.ram, 1, r.line_no)?,
+                scale_size(cpu?, cap[0], self.dirty, r.line_no, clamped)?,
+                scale_size(ram?, cap[1], self.dirty, r.line_no, clamped)?,
             ]);
             let item = self.pending.admit(r.time, None);
             self.active.insert(key, item);
@@ -311,6 +278,18 @@ impl<R: BufRead> GoogleSource<R> {
         self.pending.resolve(item, eff);
         self.active.remove(&key);
         Ok(())
+    }
+}
+
+/// Parses a resource-request field; empty means "not recorded" (dirty:
+/// one unit under Clamp, error under Reject).
+fn request_fraction(field: &str, dirty: DirtyPolicy, line_no: u64) -> Result<f64, SourceError> {
+    if !field.is_empty() {
+        return parse_fraction(field, line_no, "resource request");
+    }
+    match dirty {
+        DirtyPolicy::Reject => Err(SourceError::at_line(line_no, "empty resource request")),
+        DirtyPolicy::Clamp => Ok(0.0), // scale_size turns 0 into 1 unit
     }
 }
 

@@ -1,6 +1,16 @@
 //! Shared ingestion machinery: the dirty-trace policy knob, ingest
-//! statistics, and the constant-memory departure merger every source in
-//! this crate is built on.
+//! statistics, the line reader every parser reads through, and the
+//! constant-memory departure merger every source in this crate is
+//! built on.
+//!
+//! # The line reader
+//!
+//! [`LineReader`] owns the one line buffer and the one field table a
+//! parser ever uses: a row costs no heap allocation once both have
+//! grown to the widest line. It strips a BOM from line 1, skips blank
+//! and `#` lines, counts lines, and splits on commas with each field
+//! trimmed as `str::trim` would — bytewise for ASCII whitespace, via
+//! `str::trim` only when a field starts or ends in a non-ASCII byte.
 //!
 //! # The merger
 //!
@@ -13,11 +23,13 @@
 //! arrival-sorted — which every supported trace format promises, and the
 //! parsers verify — the emitted event stream is canonical.
 
-use dvbp_core::{LiveOp, SourceError};
+use dvbp_core::{ItemIndexMap, LiveOp, SourceError};
 use dvbp_sim::Time;
 use serde::Serialize;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::io::BufRead;
+use std::ops::Range;
 
 /// How a parser treats rows a well-formed trace would not contain.
 ///
@@ -91,7 +103,7 @@ pub(crate) struct Pending {
     /// both the time order and the within-tick index order.
     heap: BinaryHeap<Reverse<(Time, usize)>>,
     /// Open-ended items (no departure yet): item → arrival tick.
-    open: HashMap<usize, Time>,
+    open: ItemIndexMap<Time>,
     next_index: usize,
     /// Time of the latest emitted or admitted event.
     now: Time,
@@ -176,10 +188,103 @@ impl Pending {
     }
 }
 
-/// Splits one CSV line into trimmed fields. The traces this crate
-/// ingests never quote fields, so a plain comma split is exact.
-pub(crate) fn split_fields(line: &str) -> Vec<&str> {
-    line.split(',').map(str::trim).collect()
+/// A comma-separated line source over a [`BufRead`], reusing one line
+/// buffer and one field table for the whole stream (see the
+/// [module docs](self)). The traces this crate ingests never quote
+/// fields, so a plain comma split is exact.
+pub(crate) struct LineReader<R> {
+    reader: R,
+    buf: String,
+    /// Byte ranges of the current line's trimmed fields in `buf`.
+    fields: Vec<Range<usize>>,
+    line_no: u64,
+}
+
+impl<R: BufRead> LineReader<R> {
+    pub(crate) fn new(reader: R) -> Self {
+        LineReader {
+            reader,
+            buf: String::new(),
+            fields: Vec::new(),
+            line_no: 0,
+        }
+    }
+
+    /// Advances to the next line that is neither blank nor a `#`
+    /// comment and splits it; `false` at end of input.
+    ///
+    /// # Errors
+    ///
+    /// [`SourceError`] when reading fails, invalid UTF-8 included.
+    pub(crate) fn next_line(&mut self) -> Result<bool, SourceError> {
+        loop {
+            self.buf.clear();
+            let n = self
+                .reader
+                .read_line(&mut self.buf)
+                .map_err(|e| SourceError::new(format!("read failed: {e}")))?;
+            if n == 0 {
+                return Ok(false);
+            }
+            self.line_no += 1;
+            // First line only: strip a UTF-8 BOM so header detection and
+            // the first field survive files saved by Windows tools.
+            let mut start = 0;
+            if self.line_no == 1 {
+                start = self.buf.len() - self.buf.trim_start_matches('\u{feff}').len();
+            }
+            let line = trim(&self.buf, start..self.buf.len());
+            if line.is_empty() || self.buf.as_bytes()[line.start] == b'#' {
+                continue;
+            }
+            self.fields.clear();
+            let mut from = line.start;
+            for field in self.buf.as_bytes()[line].split(|&b| b == b',') {
+                self.fields.push(trim(&self.buf, from..from + field.len()));
+                from += field.len() + 1;
+            }
+            return Ok(true);
+        }
+    }
+
+    /// Physical number (1-based) of the current line.
+    pub(crate) fn line_no(&self) -> u64 {
+        self.line_no
+    }
+
+    /// Field count of the current line.
+    pub(crate) fn len(&self) -> usize {
+        self.fields.len()
+    }
+
+    /// The current line's `i`-th trimmed field.
+    pub(crate) fn field(&self, i: usize) -> &str {
+        &self.buf[self.fields[i].clone()]
+    }
+}
+
+/// `s[r].trim()`, as a range of `s`: ASCII whitespace is stripped
+/// bytewise, and only an end left on a non-ASCII byte (which may start
+/// Unicode whitespace such as U+00A0) takes `str::trim`.
+fn trim(s: &str, r: Range<usize>) -> Range<usize> {
+    // Exactly the ASCII part of `char::is_whitespace`: `\t \n \x0B \x0C \r`
+    // and space (`u8::is_ascii_whitespace` lacks `\x0B`).
+    let space = |b: u8| matches!(b, b'\t'..=b'\r' | b' ');
+    let bytes = s.as_bytes();
+    let (mut lo, mut hi) = (r.start, r.end);
+    while lo < hi && space(bytes[lo]) {
+        lo += 1;
+    }
+    while hi > lo && space(bytes[hi - 1]) {
+        hi -= 1;
+    }
+    if lo < hi && (!bytes[lo].is_ascii() || !bytes[hi - 1].is_ascii()) {
+        let field = &s[lo..hi];
+        let rest = field.trim_start();
+        lo += field.len() - rest.len();
+        hi = lo + rest.trim_end().len();
+    }
+    lo..hi
 }
 
 /// Parses a non-negative decimal (`12`, `0.5`, `1e-3`) field.
@@ -187,6 +292,17 @@ pub(crate) fn parse_fraction(field: &str, line: u64, what: &str) -> Result<f64, 
     let v: f64 = field
         .parse()
         .map_err(|_| SourceError::at_line(line, format!("{what} {field:?} is not a number")))?;
+    check_fraction(v, field, line, what)
+}
+
+/// The range half of [`parse_fraction`], for a `field` already parsed
+/// to `v`.
+pub(crate) fn check_fraction(
+    v: f64,
+    field: &str,
+    line: u64,
+    what: &str,
+) -> Result<f64, SourceError> {
     if !v.is_finite() || v < 0.0 {
         return Err(SourceError::at_line(
             line,
@@ -279,6 +395,39 @@ mod tests {
             Some((LiveOp::Depart { item: c, time: 10 }, true))
         );
         assert_eq!(p.drain(), None);
+    }
+
+    #[test]
+    fn trim_agrees_with_str_trim_for_every_char() {
+        let mut s = String::new();
+        for c in (0..=u32::from(char::MAX)).filter_map(char::from_u32) {
+            for pattern in [[c, 'x', c], [c, c, c]] {
+                s.clear();
+                s.extend(pattern);
+                assert_eq!(&s[trim(&s, 0..s.len())], s.trim(), "{:?}", c);
+            }
+        }
+    }
+
+    #[test]
+    fn line_reader_splits_like_trimmed_str_split() {
+        let text = "\u{feff} \u{feff}a , b\u{a0},\r\n\
+                    \x0b\n\
+                    \u{2003}# note, x\n\
+                    \u{feff}c,\u{3000}d\u{3000} ,,e\n";
+        let mut lines = LineReader::new(text.as_bytes());
+        let mut got = Vec::new();
+        while lines.next_line().unwrap() {
+            let fields: Vec<&str> = (0..lines.len()).map(|i| lines.field(i)).collect();
+            got.push((lines.line_no(), fields.join("|")));
+        }
+        assert_eq!(
+            got,
+            [
+                (1, "\u{feff}a|b|".to_string()),
+                (4, "\u{feff}c|d||e".to_string())
+            ]
+        );
     }
 
     #[test]

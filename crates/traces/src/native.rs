@@ -9,7 +9,7 @@
 //! raw integer units against an explicit capacity — no fraction
 //! scaling.
 
-use crate::ingest::{split_fields, DirtyPolicy, IngestStats, Pending};
+use crate::ingest::{DirtyPolicy, IngestStats, LineReader, Pending};
 use dvbp_core::{EventSource, LiveOp, SourceError};
 use dvbp_dimvec::DimVec;
 use dvbp_sim::Time;
@@ -25,12 +25,11 @@ struct Row {
 /// Streaming [`EventSource`] over a native `arrival,departure,size...`
 /// CSV.
 pub struct NativeSource<R> {
-    reader: R,
+    lines: LineReader<R>,
     capacity: DimVec,
     dirty: DirtyPolicy,
     pending: Pending,
     stats: IngestStats,
-    line_no: u64,
     clock: Time,
     lookahead: Option<Row>,
     eof: bool,
@@ -42,12 +41,11 @@ impl<R: BufRead> NativeSource<R> {
     /// sensible default).
     pub fn new(reader: R, capacity: DimVec, dirty: DirtyPolicy) -> Self {
         NativeSource {
-            reader,
+            lines: LineReader::new(reader),
             capacity,
             dirty,
             pending: Pending::default(),
             stats: IngestStats::default(),
-            line_no: 0,
             clock: 0,
             lookahead: None,
             eof: false,
@@ -61,56 +59,40 @@ impl<R: BufRead> NativeSource<R> {
 
     /// Parses the next data row, or `None` at end of input.
     fn next_row(&mut self) -> Result<Option<Row>, SourceError> {
-        let mut buf = String::new();
-        loop {
-            buf.clear();
-            let n = self
-                .reader
-                .read_line(&mut buf)
-                .map_err(|e| SourceError::new(format!("read failed: {e}")))?;
-            if n == 0 {
-                return Ok(None);
-            }
-            self.line_no += 1;
-            let line = if self.line_no == 1 {
-                buf.trim_start_matches('\u{feff}').trim()
-            } else {
-                buf.trim()
-            };
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let fields = split_fields(line);
+        while self.lines.next_line()? {
+            let lines = &self.lines;
+            let line_no = lines.line_no();
             // Header iff the arrival column is not numeric.
-            if fields.first().is_some_and(|f| f.parse::<u64>().is_err()) && self.line_no == 1 {
+            if line_no == 1 && lines.field(0).parse::<u64>().is_err() {
                 continue;
             }
             let d = self.capacity.dim();
-            if fields.len() != d + 2 {
+            if lines.len() != d + 2 {
                 return Err(SourceError::at_line(
-                    self.line_no,
+                    line_no,
                     format!(
                         "expected arrival,departure and {d} sizes ({} fields), got {}",
                         d + 2,
-                        fields.len()
+                        lines.len()
                     ),
                 ));
             }
             self.stats.rows += 1;
-            let parse = |field: &str, what: &str| -> Result<u64, SourceError> {
+            let parse = |i: usize, what: &str| -> Result<u64, SourceError> {
+                let field = lines.field(i);
                 field.parse().map_err(|_| {
                     SourceError::at_line(
-                        self.line_no,
+                        line_no,
                         format!("{what} {field:?} is not a non-negative integer"),
                     )
                 })
             };
-            let mut arrival = parse(fields[0], "arrival")?;
+            let mut arrival = parse(0, "arrival")?;
             if arrival < self.clock {
                 match self.dirty {
                     DirtyPolicy::Reject => {
                         return Err(SourceError::at_line(
-                            self.line_no,
+                            line_no,
                             format!(
                                 "rows must be sorted by arrival (tick {arrival} after tick {})",
                                 self.clock
@@ -123,12 +105,12 @@ impl<R: BufRead> NativeSource<R> {
                     }
                 }
             }
-            let mut departure = parse(fields[1], "departure")?;
+            let mut departure = parse(1, "departure")?;
             if departure <= arrival {
                 match self.dirty {
                     DirtyPolicy::Reject => {
                         return Err(SourceError::at_line(
-                            self.line_no,
+                            line_no,
                             format!("departure ({departure}) must exceed arrival ({arrival})"),
                         ));
                     }
@@ -140,13 +122,13 @@ impl<R: BufRead> NativeSource<R> {
             }
             let mut size = DimVec::zeros(d);
             for j in 0..d {
-                let mut v = parse(fields[2 + j], "size")?;
+                let mut v = parse(2 + j, "size")?;
                 let cap = self.capacity.as_slice()[j];
                 if v == 0 || v > cap {
                     match self.dirty {
                         DirtyPolicy::Reject => {
                             return Err(SourceError::at_line(
-                                self.line_no,
+                                line_no,
                                 format!("size {v} is outside 1..={cap}"),
                             ));
                         }
@@ -165,6 +147,7 @@ impl<R: BufRead> NativeSource<R> {
                 size,
             }));
         }
+        Ok(None)
     }
 
     fn fill_lookahead(&mut self) -> Result<(), SourceError> {

@@ -4,20 +4,25 @@
 //! absolute live-bytes ceiling that does not scale with trace length
 //! (beyond the engine's flat 2-word-per-item assignment ledger).
 //!
+//! The same allocator also counts allocations: steady-state Azure
+//! ingestion must average at most one per row.
+//!
 //! Uses a counting `#[global_allocator]`, so this file holds exactly
 //! one `#[test]` — a second test in the same binary would race the
 //! peak counter.
 
-use dvbp_core::{Instance, Item, PackRequest, PolicyKind, TraceMode};
+use dvbp_core::{EventSource, Instance, Item, PackRequest, PolicyKind, TraceMode};
 use dvbp_dimvec::DimVec;
-use dvbp_traces::HeavyTail;
+use dvbp_traces::{write_azure_csv, AzureSource, DirtyPolicy, HeavyTail, AZURE_TICKS_PER_DAY};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Cursor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -25,6 +30,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if !p.is_null() {
             let live = LIVE.fetch_add(layout.size(), Ordering::SeqCst) + layout.size();
             PEAK.fetch_max(live, Ordering::SeqCst);
+            ALLOCS.fetch_add(1, Ordering::SeqCst);
         }
         p
     }
@@ -46,8 +52,39 @@ fn peak_during(f: impl FnOnce()) -> usize {
     PEAK.load(Ordering::SeqCst).saturating_sub(base)
 }
 
+/// Heap allocations per row while an Azure source drains a written
+/// trace, after a warm-up in which its buffers and tables reach their
+/// working size.
+#[allow(clippy::cast_precision_loss)]
+fn azure_allocations_per_row() -> f64 {
+    let gen = HeavyTail::new(60_000, DimVec::from_slice(&[100, 100]), 7);
+    let mut csv = Vec::new();
+    write_azure_csv(gen.items(), &gen.capacity, AZURE_TICKS_PER_DAY, &mut csv).unwrap();
+    let mut source = AzureSource::new(
+        Cursor::new(csv),
+        Some(gen.capacity.clone()),
+        AZURE_TICKS_PER_DAY,
+        DirtyPolicy::Reject,
+    )
+    .unwrap();
+    while source.stats().rows < 20_000 {
+        source.next_event().unwrap();
+    }
+    let (rows, allocs) = (source.stats().rows, ALLOCS.load(Ordering::SeqCst));
+    while source.next_event().unwrap().is_some() {}
+    let allocs = ALLOCS.load(Ordering::SeqCst) - allocs;
+    allocs as f64 / (source.stats().rows - rows) as f64
+}
+
 #[test]
 fn streamed_replay_is_a_fraction_of_materialized_memory() {
+    let per_row = azure_allocations_per_row();
+    eprintln!("azure ingestion: {per_row:.4} allocations per row");
+    assert!(
+        per_row <= 1.0,
+        "steady-state Azure ingestion allocates {per_row:.3} times per row"
+    );
+
     const N: usize = 150_000;
     let capacity = DimVec::from_slice(&[100, 100]);
     let gen = HeavyTail::new(N, capacity.clone(), 31);

@@ -1,5 +1,5 @@
 //! Wall-clock throughput emitter: items packed per second for every
-//! Any-Fit policy (hybrid and scanning variants) across a fixed
+//! Any-Fit policy (block-scan and scalar variants) across a fixed
 //! `(d, n, μ)` grid, plus the `ServeDispatch` scenario (requests per
 //! second through the sharded `dvbp-serve` dispatch service, in-process
 //! and over loopback TCP, versus shard count), written as
@@ -73,7 +73,7 @@ struct Report {
 }
 
 /// `(policy, variant)` rows of the grid: three variants per Any-Fit
-/// policy, plus `indexed` for the two with an index path:
+/// policy:
 ///
 /// * `seed` — the seed engine's packing loop and O(m·d) scanning
 ///   selection, preserved verbatim in [`dvbp_bench::seed_engine`]. This is
@@ -81,16 +81,13 @@ struct Report {
 /// * `scalar` — the same O(m·d) per-bin selection loop running inside
 ///   the optimized engine (isolates selection cost from engine-loop
 ///   cost). The before-side of the simd-vs-scalar ablation.
-/// * `simd` — the vectorized block scan over the engine's slot-compacted
-///   SoA residual mirror (8 bins per mask step). Same asymptotics as
-///   `scalar`, lane-parallel constants. Best/Worst Fit's default.
-/// * `indexed` — First/Last Fit's default hybrid: the block scan below
-///   the measured crossover, the fit-index descent above it.
+/// * `simd` — every policy's default: the two-level vectorized block
+///   scan over the engine's slot-compacted SoA residual mirror (8 blocks'
+///   maxima, then 8 bins, per mask step).
 ///
 /// All variants produce identical placements; only the per-arrival cost
 /// differs.
-const POLICIES: [(&str, &str); 16] = [
-    ("FirstFit", "indexed"),
+const POLICIES: [(&str, &str); 14] = [
     ("FirstFit", "simd"),
     ("FirstFit", "scalar"),
     ("FirstFit", "seed"),
@@ -100,7 +97,6 @@ const POLICIES: [(&str, &str); 16] = [
     ("WorstFit", "simd"),
     ("WorstFit", "scalar"),
     ("WorstFit", "seed"),
-    ("LastFit", "indexed"),
     ("LastFit", "simd"),
     ("LastFit", "scalar"),
     ("LastFit", "seed"),
@@ -109,7 +105,7 @@ const POLICIES: [(&str, &str); 16] = [
 ];
 
 /// `(d, n, mu)` grid points. `mu = n / 2` keeps thousands of bins
-/// concurrently open (the regime the fit index and the block scan
+/// concurrently open (the regime the block maxima
 /// target); the small-μ points pin down the small-m overhead. The
 /// `d ∈ {4, 8}` points hold hundreds-to-thousands of bins open at
 /// power-of-two dimension counts — the simd-vs-scalar ablation's
@@ -150,15 +146,13 @@ fn seed_select(policy: &str) -> SeedSelect {
 
 fn build_policy(policy: &str, variant: &str) -> Box<dyn Policy> {
     match (policy, variant) {
-        ("FirstFit", "indexed") => Box::new(FirstFit::new()),
-        ("FirstFit", "simd") => Box::new(FirstFit::scanning()),
+        ("FirstFit", "simd") => Box::new(FirstFit::new()),
         ("FirstFit", "scalar") => Box::new(FirstFit::scanning_scalar()),
         ("BestFit", "simd") => Box::new(BestFit::new(LoadMeasure::Linf)),
         ("BestFit", "scalar") => Box::new(BestFit::scanning_scalar(LoadMeasure::Linf)),
         ("WorstFit", "simd") => Box::new(WorstFit::new(LoadMeasure::Linf)),
         ("WorstFit", "scalar") => Box::new(WorstFit::scanning_scalar(LoadMeasure::Linf)),
-        ("LastFit", "indexed") => Box::new(LastFit::new()),
-        ("LastFit", "simd") => Box::new(LastFit::scanning()),
+        ("LastFit", "simd") => Box::new(LastFit::new()),
         ("LastFit", "scalar") => Box::new(LastFit::scanning_scalar()),
         ("NextFit", _) => PolicyKind::NextFit.build(),
         ("MoveToFront", _) => PolicyKind::MoveToFront.build(),
@@ -171,7 +165,7 @@ fn build_policy(policy: &str, variant: &str) -> Box<dyn Policy> {
 /// invariant outputs.
 fn measure(inst: &Instance, policy: &mut dyn Policy, budget: Duration) -> (f64, usize, u64, u32) {
     let mut engine = Engine::new();
-    // Warm run: grows the engine arenas and fit index; also the one place
+    // Warm run: grows the engine arenas and residual mirror; also the one place
     // the per-config outputs (cost, concurrency) are taken from.
     let warm = engine.pack(inst, policy, TraceMode::CostOnly);
     let max_conc = warm.max_concurrent_bins();

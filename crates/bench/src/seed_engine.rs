@@ -2,7 +2,7 @@
 //! "before" twin for `BENCH_throughput.json`.
 //!
 //! The optimized engine in `dvbp-core` replaced this loop wholesale (flat
-//! SoA load arena, reusable allocations, fit-index candidate enumeration,
+//! SoA load arena, reusable allocations, block-scanned residual mirror,
 //! optional trace). To keep before/after numbers honest and reproducible
 //! on the same machine, this module preserves the seed's per-arrival cost
 //! profile exactly:

@@ -4,8 +4,9 @@
 //! Two kinds of entries live in the corpus:
 //!
 //! * **seed entries** (this module) — hand-built and generator-derived
-//!   instances targeting the engine's sharpest edges: segment-tree growth
-//!   and closure in `IndexedFirstFit`, equal-tick departure/arrival
+//!   instances targeting the engine's sharpest edges: residual-mirror
+//!   growth, block maxima and closure (first built to stress a segment
+//!   tree the block scan has since replaced), equal-tick departure/arrival
 //!   races, and the §6 adversarial tie-breaking sequences. Regenerate
 //!   the files with `dvbp-conformance --write-seed-corpus`;
 //! * **shrunk reproducers** — written automatically by the fuzzer when a
@@ -24,14 +25,14 @@ fn item(size: &[u64], a: u64, e: u64) -> Item {
     Item::new(DimVec::from_slice(size), a, e)
 }
 
-/// Forces the `IndexedFirstFit` residual tree through two capacity
-/// doublings (1 → 2 → 4 → 8 leaves) while bins fill, drain, and close,
-/// then packs into the survivors — the exact paths a stale tree node
-/// would corrupt.
+/// Opens five concurrent bins while bins fill, drain, and close, then
+/// packs into the survivors — the paths a stale residual or block
+/// maximum would corrupt (built for a residual tree's 1 → 2 → 4 → 8
+/// leaf doublings; layer 4 now checks the block scan on it).
 fn residual_tree_growth() -> Instance {
     let mut items = Vec::new();
-    // Five 6-unit blockers open five bins (6 + 6 > 10): the tree must
-    // grow past the 4-leaf boundary, preserving earlier residuals.
+    // Five 6-unit blockers open five bins (6 + 6 > 10), preserving
+    // earlier residuals as the open-bin count grows.
     for t in 0..5u64 {
         items.push(item(&[6], t, 20));
     }
@@ -43,7 +44,7 @@ fn residual_tree_growth() -> Instance {
     items.push(item(&[2], 13, 18));
     items.push(item(&[2], 14, 18));
     // Everything is gone by 20; these must open fresh bins, not match
-    // the closed ones through a stale tree entry.
+    // the closed ones through a stale residual or block maximum.
     items.push(item(&[5], 21, 25));
     items.push(item(&[5], 22, 25));
     Instance::new(DimVec::scalar(10), items).expect("hand-built instance is valid")
@@ -51,7 +52,7 @@ fn residual_tree_growth() -> Instance {
 
 /// A bin closing at the exact tick another item arrives: the departing
 /// item's capacity must not be offered to the arrival (closed bins are
-/// dead), and the residual tree must be zeroed before the query.
+/// dead), and its residual must read zero before the query.
 fn residual_tree_close_race() -> Instance {
     let items = vec![
         item(&[10], 0, 5), // fills bin 0, departs at 5
@@ -95,9 +96,9 @@ fn multidim_tiebreak() -> Instance {
     Instance::new(DimVec::from_slice(&[10, 10]), items).expect("hand-built instance is valid")
 }
 
-/// Two-dimensional fit-index growth with closes interleaved: bins open
-/// past the 4-leaf boundary while earlier bins close, so the doubling
-/// rebuild must copy live residuals and keep closed leaves pinned at 0.
+/// Two-dimensional growth with closes interleaved: bins open while
+/// earlier bins close, so live residuals must survive and closed bins
+/// must read residual 0 in their slot and their block's maxima.
 fn fitindex_growth_close_2d() -> Instance {
     let items = vec![
         // Wave 1: three mutually exclusive blockers -> bins 0..2.
@@ -109,7 +110,7 @@ fn fitindex_growth_close_2d() -> Instance {
         item(&[9, 1], 8, 14),  // bin 4: crosses the 4-leaf boundary
         item(&[1, 9], 9, 14),  // only bin 4 has room ([10, 10])
         item(&[3, 3], 10, 13), // first fit lands in bin 1
-        // Everything drains by 14; these must not resurrect closed leaves.
+        // Everything drains by 14; these must not resurrect closed bins.
         item(&[5, 5], 15, 18),
         item(&[5, 5], 16, 18),
     ];
@@ -117,8 +118,8 @@ fn fitindex_growth_close_2d() -> Instance {
 }
 
 /// Nine-dimensional open → drain → idle-gap → fresh-arrival cycles: after
-/// each gap every bin is closed, so the fit index must never surface the
-/// old bins even though their leaves once held near-full residuals.
+/// each gap every bin is closed, so the block scan must never surface the
+/// old bins even though their slots once held near-full residuals.
 fn reopen_gap_d9() -> Instance {
     let d = 9;
     let blocker = |t: u64, hot: usize, e: u64| {
@@ -295,9 +296,8 @@ fn widedim_remainder_d16() -> Instance {
 /// Ramps ~260 concurrent 12-dimensional blockers — through every block
 /// of the SoA mirror's doubling growth, and past the 256-bin crossover
 /// an earlier hybrid table used at d ≥ 10 — then packs light items and
-/// drains everything. `IndexedFirstFit` takes the fit-index path at
-/// every step and First Fit the block scan; both must agree bit for bit
-/// with the scalar reference.
+/// drains everything. The two-level block scan must agree bit for bit
+/// with the scalar loop (layer 4) and the reference.
 fn widedim_crossover_d12() -> Instance {
     let d = 12;
     let blockers = 260u64;
@@ -307,8 +307,8 @@ fn widedim_crossover_d12() -> Instance {
     for i in 0..blockers {
         items.push(Item::new(DimVec::splat(d, 6), i, blockers + 40));
     }
-    // Light items arriving with ~260 bins open: the fit index and the
-    // residual mirror must agree on the earliest feasible bin.
+    // Light items arriving with ~260 bins open: the block scan and the
+    // scalar loop must agree on the earliest feasible bin.
     for i in 0..12u64 {
         items.push(Item::new(
             DimVec::splat(d, 2),
@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn growth_case_really_opens_five_concurrent_bins() {
         let inst = residual_tree_growth();
-        let p = PackRequest::new(dvbp_core::PolicyKind::IndexedFirstFit)
+        let p = PackRequest::new(dvbp_core::PolicyKind::FirstFit)
             .run(&inst)
             .unwrap();
         assert!(p.max_concurrent_bins() >= 5, "{}", p.max_concurrent_bins());

@@ -10,8 +10,10 @@
 //!    dimension and a single contiguous usage interval per bin;
 //! 3. **Any Fit** — [`Packing::verify_any_fit`] for every full-candidate
 //!    policy (all but Next Fit and the class-restricted clairvoyant);
-//! 4. **placement identity** — `IndexedFirstFit` must equal `FirstFit`
-//!    item for item (the fit index is a data-structure change only);
+//! 4. **block scan ≡ scalar loop** — First, Last, Best, Worst and
+//!    Random Fit must place item for item as their `scanning_scalar`
+//!    twins, which probe every open bin in order (the residual mirror
+//!    and its per-block maxima are a data-structure change only);
 //! 5. **cost-only identity** — re-running under
 //!    [`TraceMode::CostOnly`] must reproduce the `Full` run's assignment,
 //!    cost, and max concurrency (the mode skips bookkeeping, never
@@ -57,7 +59,11 @@
 //!     Clairvoyant kinds are exempt (live candidates must be servable).
 
 use crate::reference;
-use dvbp_core::{Instance, PackRequest, Packing, PolicyKind, TraceMode};
+use dvbp_core::policy::{
+    best_fit::BestFit, first_fit::FirstFit, last_fit::LastFit, random_fit::RandomFit,
+    worst_fit::WorstFit,
+};
+use dvbp_core::{Engine, Instance, PackRequest, Packing, Policy, PolicyKind, TraceMode};
 use dvbp_offline::lower_bounds::{lb_load, lb_span};
 use std::fmt;
 
@@ -136,6 +142,19 @@ pub(crate) fn first_difference(fast: &Packing, slow: &Packing) -> Option<String>
     None
 }
 
+/// The scalar-loop twin of a block-scanning kind (layer 4), or `None`
+/// for kinds that never block-scan.
+fn scalar_twin(kind: &PolicyKind) -> Option<Box<dyn Policy>> {
+    Some(match *kind {
+        PolicyKind::FirstFit => Box::new(FirstFit::scanning_scalar()),
+        PolicyKind::LastFit => Box::new(LastFit::scanning_scalar()),
+        PolicyKind::BestFit(m) => Box::new(BestFit::scanning_scalar(m)),
+        PolicyKind::WorstFit(m) => Box::new(WorstFit::scanning_scalar(m)),
+        PolicyKind::RandomFit { seed } => Box::new(RandomFit::scanning_scalar(seed)),
+        _ => return None,
+    })
+}
+
 /// Runs every check layer for one `(instance, kind)` pair.
 ///
 /// # Errors
@@ -156,20 +175,18 @@ pub fn check_policy(instance: &Instance, kind: &PolicyKind) -> Result<(), Diverg
             return Err(Divergence::new(kind, format!("any-fit: {e}")));
         }
     }
-    if *kind == PolicyKind::IndexedFirstFit {
-        let plain = PackRequest::new(PolicyKind::FirstFit)
-            .run(instance)
-            .unwrap();
-        if fast.assignment != plain.assignment {
+    if let Some(mut twin) = scalar_twin(kind) {
+        let scalar = Engine::new().pack(instance, twin.as_mut(), TraceMode::CostOnly);
+        if fast.assignment != scalar.assignment {
             let i = (0..fast.assignment.len())
-                .find(|&i| fast.assignment[i] != plain.assignment[i])
+                .find(|&i| fast.assignment[i] != scalar.assignment[i])
                 .unwrap_or(0);
             return Err(Divergence::new(
                 kind,
                 format!(
-                    "placement identity: item {i} goes to {} under IndexedFirstFit \
-                     but {} under FirstFit",
-                    fast.assignment[i], plain.assignment[i]
+                    "block scan ≡ scalar loop: item {i} goes to {} under the block scan \
+                     but {} under the scalar loop",
+                    fast.assignment[i], scalar.assignment[i]
                 ),
             ));
         }
@@ -370,7 +387,6 @@ pub fn kinds_for(instance: &Instance, random_fit_seed: u64) -> Vec<PolicyKind> {
         PolicyKind::RandomFit {
             seed: random_fit_seed,
         },
-        PolicyKind::IndexedFirstFit,
     ];
     if instance
         .items
@@ -440,8 +456,8 @@ mod tests {
     fn clairvoyant_kinds_gated_on_announcements() {
         let bare =
             Instance::new(DimVec::scalar(10), vec![Item::new(DimVec::scalar(5), 0, 4)]).unwrap();
-        assert_eq!(kinds_for(&bare, 0).len(), 9);
+        assert_eq!(kinds_for(&bare, 0).len(), 8);
         let announced = dvbp_workloads::predictions::announce_exact(&bare);
-        assert_eq!(kinds_for(&announced, 0).len(), 11);
+        assert_eq!(kinds_for(&announced, 0).len(), 10);
     }
 }

@@ -12,8 +12,8 @@
 //! * **high-churn** — phases of mostly *blocker* items (over half a small
 //!   bin in some dimension) separated by idle gaps that drain every bin.
 //!   Many bins stay concurrently open within a phase and **all** of them
-//!   close between phases, hammering the engine fit index's open → close
-//!   → never-reopen lifecycle and its growth-by-doubling, at
+//!   close between phases, hammering the engine residual mirror's open → close
+//!   → never-reopen lifecycle, its growth and compaction, at
 //!   `d ∈ {1, 2, 8, 9}` (both `DimVec` representations);
 //! * **equal-tick** — dense waves of one-tick stays (the materialized
 //!   image of live zero-duration items under `TimeMode::Clamp`, which

@@ -47,8 +47,6 @@ pub mod billing;
 mod bin;
 mod block_scan;
 mod engine;
-mod fit_index;
-mod hybrid;
 mod item;
 mod live;
 pub mod policy;
@@ -61,7 +59,6 @@ pub use bin::{BinId, BinUsage};
 pub use block_scan::{ResidualBlocks, LANES};
 pub use dvbp_obs::{NoopObserver, Observer};
 pub use engine::{Engine, EngineView, Packing, TraceEvent, TraceMode};
-pub use fit_index::FitIndex;
 pub use item::{Instance, InstanceError, Item};
 pub use live::{
     live_ops, LiveDeparture, LiveDriveStats, LiveEngine, LiveError, LiveMigration, LiveOp,

@@ -8,12 +8,8 @@
 //!
 //! Candidates come from the engine's vectorized block scan over its
 //! slot-compacted residual mirror, visited in ascending bin id so ties
-//! resolve to the earliest bin. Best Fit ranks every feasible bin, so a
-//! pruning tree saves it little: with the mirror compacted, the block
-//! scan beat the [`FitIndex`](crate::FitIndex) enumeration 1.03–2.9× at
-//! every measured `(m, d)` point with `d ≤ 9`, and Best Fit has no index
-//! path. (At `d ≥ 12` and `m ≳ 600` the enumeration was up to 2× faster;
-//! no benchmark row, workload or paper experiment reaches that regime.)
+//! resolve to the earliest bin; blocks whose per-dimension maxima cannot
+//! hold the item are skipped without reading their lanes.
 //! [`BestFit::scanning_scalar`] pins the per-bin scalar loop for
 //! differential tests and the throughput ablation.
 

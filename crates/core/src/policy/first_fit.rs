@@ -3,73 +3,38 @@
 //! CR bounds from the paper: at most `(μ+2)d + 1` (Thm 3), at least
 //! `(μ+1)d` (Thm 5).
 //!
-//! Selection is a hybrid. Below the measured per-`d` crossover of the
-//! `hybrid` module, the open bins are block-scanned through the engine's
-//! slot-compacted residual mirror
-//! ([`ResidualBlocks`](crate::ResidualBlocks)). Above it, the
-//! [`FitIndex`] answers with the leftmost feasible leaf of its
-//! per-dimension max-residual segment trees, in O(log m) expected time.
-//! Since the mirror stopped scanning closed-bin ids, the crossover sits
-//! at hundreds to thousands of open bins, and at `3 ≤ d ≤ 8` the scan
-//! wins at every measured `m` (up to `m ≈ 2,500`).
-//! [`FirstFit::scanning`] pins the block scan, [`FirstFit::indexed`]
-//! the index, and [`FirstFit::scanning_scalar`] the per-bin scalar loop
-//! (the throughput ablation's before-side); all four produce identical
-//! placements.
-//!
-//! [`FitIndex`]: crate::FitIndex
+//! Selection block-scans the engine's slot-compacted residual mirror
+//! ([`ResidualBlocks`](crate::ResidualBlocks)) in slot order, skipping
+//! every block whose per-dimension maxima cannot hold the item.
+//! [`FirstFit::scanning_scalar`] pins the per-bin scalar loop (the
+//! scalar reference of conformance layer 4 and the throughput
+//! ablation's before-side); both produce identical placements.
 
 use super::{Decision, Policy};
 use crate::bin::BinId;
 use crate::engine::EngineView;
-use crate::hybrid::Path;
 use crate::item::Item;
 use std::borrow::Cow;
 
-/// The First Fit policy. Stateless: the engine's open-bin list and fit
-/// index are already ordered by opening time.
-#[derive(Clone, Copy, Debug)]
+/// The First Fit policy. Stateless: the engine's open-bin list and
+/// residual mirror are already ordered by opening time.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FirstFit {
-    path: Path,
-}
-
-impl Default for FirstFit {
-    fn default() -> Self {
-        Self::new()
-    }
+    scalar: bool,
 }
 
 impl FirstFit {
-    /// Creates a First Fit policy on the hybrid path: block-scans the
-    /// open bins below the measured per-`d` crossover, and uses
-    /// the indexed O(log m) query above it.
+    /// Creates a First Fit policy on the vectorized block scan.
     #[must_use]
     pub fn new() -> Self {
-        FirstFit { path: Path::Hybrid }
-    }
-
-    /// Creates a First Fit policy that always scans the open bins (via
-    /// the vectorized block kernel) — placement-identical to
-    /// [`FirstFit::new`], O(m·d / LANES) per arrival.
-    #[must_use]
-    pub fn scanning() -> Self {
-        FirstFit { path: Path::Scan }
+        FirstFit { scalar: false }
     }
 
     /// Creates the scalar per-bin scan variant — placement-identical to
-    /// [`FirstFit::scanning`], O(m·d) per arrival. The before-side of
-    /// the `simd`-vs-`scalar` throughput ablation.
+    /// [`FirstFit::new`], O(m·d) per arrival.
     #[must_use]
     pub fn scanning_scalar() -> Self {
-        FirstFit { path: Path::Scalar }
-    }
-
-    /// Creates the always-indexed variant (fit-index descent regardless
-    /// of `m`) — placement-identical to [`FirstFit::new`]. Used by the
-    /// crossover calibration bench to time the pure index path.
-    #[must_use]
-    pub fn indexed() -> Self {
-        FirstFit { path: Path::Index }
+        FirstFit { scalar: true }
     }
 }
 
@@ -79,28 +44,13 @@ impl Policy for FirstFit {
     }
 
     fn choose(&mut self, view: &EngineView<'_>, item: &Item, _item_idx: usize) -> Decision {
-        if !self.path.uses_index(view.open_bins().len(), view.dim()) {
-            return match view.scan_first_fit(&item.size, self.path == Path::Scalar) {
-                Some(bin) => Decision::Existing(bin),
-                None => Decision::OpenNew,
-            };
-        }
-        match view.index().first_fit(item.size.as_slice()) {
-            Some(b) => {
-                let bin = BinId(b);
-                view.probe_known_feasible(bin);
-                debug_assert!(view.fits(bin, &item.size));
-                Decision::Existing(bin)
-            }
+        match view.scan_first_fit(&item.size, self.scalar) {
+            Some(bin) => Decision::Existing(bin),
             None => Decision::OpenNew,
         }
     }
 
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, _bin: BinId, _newly_opened: bool) {}
-
-    fn wants_index(&self, open_bins: usize, dims: usize) -> bool {
-        self.path.uses_index(open_bins, dims)
-    }
 }
 
 #[cfg(test)]
@@ -178,7 +128,7 @@ mod tests {
     }
 
     #[test]
-    fn scanning_variant_is_placement_identical() {
+    fn scalar_variant_is_placement_identical() {
         let inst = Instance::new(
             DimVec::from_slice(&[10, 10]),
             vec![
@@ -190,9 +140,8 @@ mod tests {
             ],
         )
         .unwrap();
-        // The pinned index path: the hybrid would scan a case this small.
-        let indexed = pack(&inst, &mut FirstFit::indexed());
-        let scanned = pack(&inst, &mut FirstFit::scanning());
-        assert_eq!(indexed, scanned);
+        let scalar = pack(&inst, &mut FirstFit::scanning_scalar());
+        let scanned = pack(&inst, &mut FirstFit::new());
+        assert_eq!(scalar, scanned);
     }
 }

@@ -3,65 +3,35 @@
 //! The mirror image of First Fit, included in the paper's experimental
 //! study. No competitive-ratio bound is claimed for it.
 //!
-//! Selection is the same hybrid as First Fit's: below the measured
-//! per-`d` crossover the engine's slot-compacted residual mirror is
-//! block-scanned for the highest feasible id; above it, the
-//! [`FitIndex`] right-first descent (rightmost feasible leaf) answers in
-//! O(log m) expected time. [`LastFit::scanning`] pins the block scan,
-//! [`LastFit::indexed`] the index, and [`LastFit::scanning_scalar`] the
-//! reverse per-bin scalar loop.
-//!
-//! [`FitIndex`]: crate::FitIndex
+//! Selection block-scans the engine's slot-compacted residual mirror
+//! from the highest slot down, skipping every block whose per-dimension
+//! maxima cannot hold the item. [`LastFit::scanning_scalar`] pins the
+//! reverse per-bin scalar loop; both produce identical placements.
 
 use super::{Decision, Policy};
 use crate::bin::BinId;
 use crate::engine::EngineView;
-use crate::hybrid::Path;
 use crate::item::Item;
 use std::borrow::Cow;
 
 /// The Last Fit policy. Stateless.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LastFit {
-    path: Path,
-}
-
-impl Default for LastFit {
-    fn default() -> Self {
-        Self::new()
-    }
+    scalar: bool,
 }
 
 impl LastFit {
-    /// Creates a Last Fit policy on the hybrid path: block-scans below
-    /// the measured per-`d` crossover, indexed O(log m) query
-    /// above it.
+    /// Creates a Last Fit policy on the vectorized block scan.
     #[must_use]
     pub fn new() -> Self {
-        LastFit { path: Path::Hybrid }
-    }
-
-    /// Creates the always-scanning variant (vectorized block kernel,
-    /// highest feasible id) — placement-identical to [`LastFit::new`].
-    #[must_use]
-    pub fn scanning() -> Self {
-        LastFit { path: Path::Scan }
+        LastFit { scalar: false }
     }
 
     /// Creates the scalar reverse-scan variant — placement-identical to
-    /// [`LastFit::scanning`], O(m·d) per arrival. The before-side of
-    /// the `simd`-vs-`scalar` throughput ablation.
+    /// [`LastFit::new`], O(m·d) per arrival.
     #[must_use]
     pub fn scanning_scalar() -> Self {
-        LastFit { path: Path::Scalar }
-    }
-
-    /// Creates the always-indexed variant (fit-index descent regardless
-    /// of `m`) — placement-identical to [`LastFit::new`]. Used by the
-    /// crossover calibration bench to time the pure index path.
-    #[must_use]
-    pub fn indexed() -> Self {
-        LastFit { path: Path::Index }
+        LastFit { scalar: true }
     }
 }
 
@@ -71,28 +41,13 @@ impl Policy for LastFit {
     }
 
     fn choose(&mut self, view: &EngineView<'_>, item: &Item, _item_idx: usize) -> Decision {
-        if !self.path.uses_index(view.open_bins().len(), view.dim()) {
-            return match view.scan_last_fit(&item.size, self.path == Path::Scalar) {
-                Some(bin) => Decision::Existing(bin),
-                None => Decision::OpenNew,
-            };
-        }
-        match view.index().last_fit(item.size.as_slice()) {
-            Some(b) => {
-                let bin = BinId(b);
-                view.probe_known_feasible(bin);
-                debug_assert!(view.fits(bin, &item.size));
-                Decision::Existing(bin)
-            }
+        match view.scan_last_fit(&item.size, self.scalar) {
+            Some(bin) => Decision::Existing(bin),
             None => Decision::OpenNew,
         }
     }
 
     fn after_pack(&mut self, _item: &Item, _item_idx: usize, _bin: BinId, _newly_opened: bool) {}
-
-    fn wants_index(&self, open_bins: usize, dims: usize) -> bool {
-        self.path.uses_index(open_bins, dims)
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +89,7 @@ mod tests {
     }
 
     #[test]
-    fn scanning_variant_is_placement_identical() {
+    fn scalar_variant_is_placement_identical() {
         let inst = Instance::new(
             DimVec::from_slice(&[10, 10]),
             vec![
@@ -146,9 +101,8 @@ mod tests {
             ],
         )
         .unwrap();
-        // The pinned index path: the hybrid would scan a case this small.
-        let indexed = pack(&inst, &mut LastFit::indexed());
-        let scanned = pack(&inst, &mut LastFit::scanning());
-        assert_eq!(indexed, scanned);
+        let scalar = pack(&inst, &mut LastFit::scanning_scalar());
+        let scanned = pack(&inst, &mut LastFit::new());
+        assert_eq!(scalar, scanned);
     }
 }

@@ -28,7 +28,6 @@ pub mod aligned_fit;
 pub mod best_fit;
 pub mod clairvoyant;
 pub mod first_fit;
-pub mod indexed_first_fit;
 pub mod last_fit;
 pub mod move_to_front;
 pub mod next_fit;
@@ -68,27 +67,6 @@ pub trait Policy: Send {
     /// Non-clairvoyant policies must not read `item.departure`; the
     /// clairvoyant extension reads `item.announced_duration`.
     fn choose(&mut self, view: &EngineView<'_>, item: &Item, item_idx: usize) -> Decision;
-
-    /// Whether [`choose`](Policy::choose) will query
-    /// [`EngineView::index`](crate::EngineView::index) on an arrival with
-    /// `open_bins` bins currently open in a `dims`-dimensional run.
-    ///
-    /// The engine performs **no** fit-index maintenance until the first
-    /// arrival for which this returns `true`; it then rebuilds the index
-    /// from the load arena once and keeps it current for the rest of the
-    /// run. Querying the index after returning `false` panics.
-    ///
-    /// Only First Fit and Last Fit opt in, above the centralized
-    /// per-`d` crossover of the `hybrid` module — the same predicate
-    /// `choose` uses to pick its path, so the index is live exactly when
-    /// queried. Defaults to `false`: every other policy scans.
-    ///
-    /// The default used to be `true`. A custom policy that queries the
-    /// index must now override this method, or its first index query
-    /// panics.
-    fn wants_index(&self, _open_bins: usize, _dims: usize) -> bool {
-        false
-    }
 
     /// Notification that the item was packed (after loads are updated).
     fn after_pack(&mut self, item: &Item, item_idx: usize, bin: BinId, newly_opened: bool);
@@ -148,9 +126,6 @@ pub enum PolicyKind {
     /// Clairvoyant departure-aligned Any Fit (extension; §7's alignment
     /// notion made into a policy).
     AlignedFit,
-    /// First Fit with an O(log m) segment-tree query path for d = 1;
-    /// placement-identical to [`FirstFit`](PolicyKind::FirstFit).
-    IndexedFirstFit,
 }
 
 impl PolicyKind {
@@ -169,7 +144,6 @@ impl PolicyKind {
                 Box::new(clairvoyant::DurationClassFirstFit::new())
             }
             PolicyKind::AlignedFit => Box::new(aligned_fit::AlignedFit::new()),
-            PolicyKind::IndexedFirstFit => Box::new(indexed_first_fit::IndexedFirstFit::new()),
         }
     }
 
@@ -186,7 +160,6 @@ impl PolicyKind {
             PolicyKind::RandomFit { .. } => "RandomFit".into(),
             PolicyKind::DurationClassFirstFit => "DurationClassFF".into(),
             PolicyKind::AlignedFit => "AlignedFit".into(),
-            PolicyKind::IndexedFirstFit => "IndexedFirstFit".into(),
         }
     }
 
@@ -283,7 +256,6 @@ impl std::str::FromStr for PolicyKind {
             "RandomFit" => return Ok(PolicyKind::RandomFit { seed: 0 }),
             "DurationClassFF" => return Ok(PolicyKind::DurationClassFirstFit),
             "AlignedFit" => return Ok(PolicyKind::AlignedFit),
-            "IndexedFirstFit" => return Ok(PolicyKind::IndexedFirstFit),
             _ => {}
         }
         if let Some(m) = bracketed("BestFit").and_then(measure) {
@@ -353,7 +325,6 @@ mod tests {
         use std::str::FromStr;
         let mut kinds = PolicyKind::paper_suite(99);
         kinds.extend([
-            PolicyKind::IndexedFirstFit,
             PolicyKind::DurationClassFirstFit,
             PolicyKind::AlignedFit,
             PolicyKind::BestFit(LoadMeasure::Lp(4)),

@@ -20,6 +20,7 @@ pub struct RandomFit {
     rng: StdRng,
     /// Scratch buffer of feasible candidates, reused across arrivals.
     candidates: Vec<BinId>,
+    scalar: bool,
 }
 
 impl RandomFit {
@@ -31,6 +32,17 @@ impl RandomFit {
             seed,
             rng: StdRng::seed_from_u64(seed),
             candidates: Vec::new(),
+            scalar: false,
+        }
+    }
+
+    /// Creates the scalar per-bin scan variant — placement-identical to
+    /// [`RandomFit::new`] with the same seed, O(m·d) per arrival.
+    #[must_use]
+    pub fn scanning_scalar(seed: u64) -> Self {
+        RandomFit {
+            scalar: true,
+            ..Self::new(seed)
         }
     }
 }
@@ -46,7 +58,7 @@ impl Policy for RandomFit {
         // the scalar scan, so RNG draws land on the same bins whichever
         // path ran.
         let candidates = &mut self.candidates;
-        view.scan_feasible(&item.size, false, |b| candidates.push(b));
+        view.scan_feasible(&item.size, self.scalar, |b| candidates.push(b));
         match self.candidates.len() {
             0 => Decision::OpenNew,
             1 => Decision::Existing(self.candidates[0]),

@@ -5,10 +5,9 @@
 //! performance of the seven algorithms.
 //!
 //! Like [`BestFit`](super::best_fit::BestFit), candidates come from
-//! the engine's vectorized block scan (ascending bin id, earliest bin on
-//! ties); there is no fit-index path, because ranking every feasible bin
-//! gains little from tree pruning. [`WorstFit::scanning_scalar`] pins
-//! the per-bin scalar loop.
+//! the engine's two-level vectorized block scan (ascending bin id,
+//! earliest bin on ties). [`WorstFit::scanning_scalar`] pins the per-bin
+//! scalar loop.
 
 use super::{Decision, LoadKey, LoadMeasure, Policy};
 use crate::bin::BinId;

@@ -34,8 +34,8 @@ fn instances() -> impl Strategy<Value = Instance> {
 }
 
 /// Strategy: scalar (d = 1) instances with a small capacity so bins fill,
-/// close, and reopen often — the regime where the engine's fit index
-/// does real work.
+/// close, and reopen often — the regime where the residual mirror's block maxima
+/// do real work.
 fn instances_1d() -> impl Strategy<Value = Instance> {
     (1usize..=60).prop_flat_map(|n| {
         let cap = 10u64;
@@ -49,7 +49,7 @@ fn instances_1d() -> impl Strategy<Value = Instance> {
 
 /// Strategy: high-dimensional instances (`d ∈ {8, 9}`) straddling
 /// [`dvbp_dimvec::INLINE_DIMS`], so both the inline and the heap `DimVec`
-/// representations flow through the fit index.
+/// representations flow through the block scan.
 fn instances_hd() -> impl Strategy<Value = Instance> {
     (8usize..=9, 1usize..=30).prop_flat_map(|(d, n)| {
         let cap = 12u64;
@@ -59,22 +59,6 @@ fn instances_hd() -> impl Strategy<Value = Instance> {
             Instance::new(DimVec::splat(d, cap), items).expect("generated instance valid")
         })
     })
-}
-
-/// Packs `inst` with both variants of every indexed/scan policy pair
-/// (First Fit and Last Fit, the two policies with an index path) and
-/// asserts full `Packing` equality.
-fn assert_indexed_matches_scan(inst: &Instance) -> Result<(), TestCaseError> {
-    // The pinned index path — the default hybrid would scan on instances
-    // this small and the comparison would be vacuous.
-    let indexed = pack(inst, &mut FirstFit::indexed());
-    let scanned = pack(inst, &mut FirstFit::scanning());
-    prop_assert_eq!(indexed, scanned, "FirstFit");
-
-    let indexed = pack(inst, &mut LastFit::indexed());
-    let scanned = pack(inst, &mut LastFit::scanning());
-    prop_assert_eq!(indexed, scanned, "LastFit");
-    Ok(())
 }
 
 /// Records the full observer event stream of one run (no probe sink, so
@@ -92,11 +76,11 @@ fn record_events(inst: &Instance, policy: &mut dyn crate::Policy) -> Vec<dvbp_ob
 /// provenance layer's `Σ scanned == #Probe` currency) are reproduced
 /// from the hit position, so the whole event streams must match.
 fn assert_block_scan_events_match_scalar(inst: &Instance) -> Result<(), TestCaseError> {
-    let block = record_events(inst, &mut FirstFit::scanning());
+    let block = record_events(inst, &mut FirstFit::new());
     let scalar = record_events(inst, &mut FirstFit::scanning_scalar());
     prop_assert_eq!(block, scalar, "FirstFit");
 
-    let block = record_events(inst, &mut LastFit::scanning());
+    let block = record_events(inst, &mut LastFit::new());
     let scalar = record_events(inst, &mut LastFit::scanning_scalar());
     prop_assert_eq!(block, scalar, "LastFit");
 
@@ -310,30 +294,15 @@ proptest! {
         }
     }
 
-    /// `IndexedFirstFit` is an exact drop-in for `FirstFit` on d = 1: the
-    /// segment-tree search must return the same (lowest-index) open bin as
-    /// the linear scan at every decision, so the whole packings coincide.
+    /// On d = 1 the block maxima are plain per-block maximum residuals:
+    /// the two-level scan must return the same (lowest-index) open bin
+    /// as the scalar loop at every decision, so the packings coincide.
     #[test]
-    fn indexed_first_fit_matches_first_fit_on_1d(inst in instances_1d()) {
-        let indexed = pack_with(&inst, &PolicyKind::IndexedFirstFit);
-        let plain = pack_with(&inst, &PolicyKind::FirstFit);
-        prop_assert_eq!(&indexed.assignment, &plain.assignment);
-        prop_assert_eq!(indexed, plain);
-    }
-
-    /// The fit-index query path is a pure data-structure change: for every
-    /// retrofit policy the indexed and scanning variants produce identical
-    /// packings (assignment, trace, and cost).
-    #[test]
-    fn indexed_matches_scan(inst in instances()) {
-        assert_indexed_matches_scan(&inst)?;
-    }
-
-    /// Same identity at `d ∈ {8, 9}` — across the `DimVec` inline/heap
-    /// boundary, where the pruning descent backtracks most.
-    #[test]
-    fn indexed_matches_scan_high_dim(inst in instances_hd()) {
-        assert_indexed_matches_scan(&inst)?;
+    fn block_scan_first_fit_matches_scalar_on_1d(inst in instances_1d()) {
+        let block = pack(&inst, &mut FirstFit::new());
+        let scalar = pack(&inst, &mut FirstFit::scanning_scalar());
+        prop_assert_eq!(&block.assignment, &scalar.assignment);
+        prop_assert_eq!(block, scalar);
     }
 
     /// Block-scan runs emit byte-identical observer streams to scalar
@@ -470,7 +439,7 @@ fn max_span_ratio(p: &Packing) -> f64 {
 /// open bins' ids spread over a span many times the open-bin count, so
 /// the slot-compacted mirror holds only a thin slice of the ids ever
 /// opened. Block and scalar scans must agree on every event, `Place`
-/// scan counts included, and the index paths on every placement.
+/// scan counts included.
 #[test]
 fn sparse_span_block_scan_matches_scalar() {
     let inst = long_sparse_stream();
@@ -502,12 +471,12 @@ fn sparse_span_block_scan_matches_scalar() {
     };
     check(
         "FirstFit",
-        &mut FirstFit::scanning(),
+        &mut FirstFit::new(),
         &mut FirstFit::scanning_scalar(),
     );
     check(
         "LastFit",
-        &mut LastFit::scanning(),
+        &mut LastFit::new(),
         &mut LastFit::scanning_scalar(),
     );
     check(
@@ -520,47 +489,65 @@ fn sparse_span_block_scan_matches_scalar() {
         &mut WorstFit::new(LoadMeasure::Linf),
         &mut WorstFit::scanning_scalar(LoadMeasure::Linf),
     );
-    let indexed = pack(&inst, &mut FirstFit::indexed());
-    assert_eq!(indexed, ff, "FirstFit indexed");
-    let indexed = pack(&inst, &mut LastFit::indexed());
-    let scalar = pack(&inst, &mut LastFit::scanning_scalar());
-    assert_eq!(indexed, scalar, "LastFit indexed");
 }
 
 /// A mid-run switch onto a scanning policy latches the residual mirror
-/// with bins already open, so it is rebuilt from the load arena. Its
-/// placements must equal the fit-index path's, which latches from the
-/// load arena independently.
+/// with bins already open, so it is rebuilt from the load arena. Every
+/// placement after the switch must be the lowest-id open bin that fits,
+/// checked against a load model kept by the test.
 #[test]
-fn mirror_latched_mid_run_matches_the_index_path() {
+fn mirror_latched_mid_run_places_like_first_fit() {
     let inst = long_sparse_stream();
     let ops = crate::live_ops(&inst);
-    let drive = |to: PolicyKind| -> (usize, Vec<crate::BinId>) {
-        let mut live = crate::LiveRequest::new(PolicyKind::NextFit)
-            .capacity(inst.capacity.clone())
-            .build()
-            .unwrap();
-        let mut local = std::collections::HashMap::new();
-        let (mut open_at_switch, mut bins) = (0, Vec::new());
-        for (k, op) in ops.iter().enumerate() {
-            if k == ops.len() / 2 {
-                open_at_switch = live.open_bins();
-                live.switch_policy(to.clone()).unwrap();
-            }
-            match op {
-                crate::LiveOp::Arrive { item, size, time } => {
-                    let placed = live.arrive(size.clone(), *time).unwrap();
-                    local.insert(*item, placed.item);
-                    bins.push(placed.bin);
+    let cap = inst.capacity.as_slice();
+    let mut live = crate::LiveRequest::new(PolicyKind::NextFit)
+        .capacity(inst.capacity.clone())
+        .build()
+        .unwrap();
+    // Model: open bin -> (load, resident count); item -> (live id, bin).
+    let mut bins: std::collections::BTreeMap<crate::BinId, (Vec<u64>, usize)> =
+        std::collections::BTreeMap::new();
+    let mut local = std::collections::HashMap::new();
+    let mut open_at_switch = 0;
+    for (k, op) in ops.iter().enumerate() {
+        if k == ops.len() / 2 {
+            open_at_switch = live.open_bins();
+            live.switch_policy(PolicyKind::FirstFit).unwrap();
+        }
+        match op {
+            crate::LiveOp::Arrive { item, size, time } => {
+                let expect = bins
+                    .iter()
+                    .find(|(_, (load, _))| (0..cap.len()).all(|j| load[j] + size[j] <= cap[j]))
+                    .map(|(&b, _)| b);
+                let placed = live.arrive(size.clone(), *time).unwrap();
+                if k >= ops.len() / 2 {
+                    match expect {
+                        Some(b) => assert_eq!(placed.bin, b, "op {k}"),
+                        None => assert!(!bins.contains_key(&placed.bin), "op {k}"),
+                    }
                 }
-                crate::LiveOp::Depart { item, time } => {
-                    live.depart(local[item], *time).unwrap();
+                let (load, count) = bins
+                    .entry(placed.bin)
+                    .or_insert_with(|| (vec![0; cap.len()], 0));
+                (0..cap.len()).for_each(|j| load[j] += size[j]);
+                *count += 1;
+                local.insert(*item, (placed.item, placed.bin, size.clone()));
+            }
+            crate::LiveOp::Depart { item, time } => {
+                let (id, bin, size) = &local[item];
+                live.depart(*id, *time).unwrap();
+                let (load, count) = bins.get_mut(bin).unwrap();
+                (0..cap.len()).for_each(|j| load[j] -= size[j]);
+                *count -= 1;
+                if *count == 0 {
+                    bins.remove(bin);
                 }
             }
         }
-        (open_at_switch, bins)
-    };
-    let (open, scanned) = drive(PolicyKind::FirstFit);
-    assert!(open > 20, "switch saw only {open} open bins");
-    assert_eq!(scanned, drive(PolicyKind::IndexedFirstFit).1);
+    }
+    assert!(
+        open_at_switch > 20,
+        "switch saw only {open_at_switch} open bins"
+    );
 }

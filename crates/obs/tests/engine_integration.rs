@@ -44,7 +44,6 @@ fn announce(inst: &Instance) -> Instance {
 /// The full policy roster, clairvoyant kinds included.
 fn all_kinds() -> Vec<PolicyKind> {
     let mut kinds = suite();
-    kinds.push(PolicyKind::IndexedFirstFit);
     kinds.push(PolicyKind::DurationClassFirstFit);
     kinds.push(PolicyKind::AlignedFit);
     kinds

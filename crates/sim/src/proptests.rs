@@ -85,6 +85,35 @@ proptest! {
         prop_assert_eq!(curve.support_len(), support);
     }
 
+    /// The packed-key unstable sort orders events exactly as a stable
+    /// sort on the `(time, is_arrival, item)` tuple, on intervals drawn
+    /// from a few ticks so most events tie on time.
+    #[test]
+    fn timeline_order_equals_stable_tuple_sort(
+        ivs in prop::collection::vec(
+            (0u64..4, 1u64..3).prop_map(|(a, len)| Interval::new(a, a + len)),
+            0..80,
+        )
+    ) {
+        let mut expect: Vec<Event> = ivs
+            .iter()
+            .enumerate()
+            .flat_map(|(item, iv)| {
+                [
+                    Event::Arrival { time: iv.start, item },
+                    Event::Departure { time: iv.end, item },
+                ]
+            })
+            .collect();
+        expect.sort_by_key(|e| {
+            let item = match *e {
+                Event::Departure { item, .. } | Event::Arrival { item, .. } => item,
+            };
+            (e.time(), e.is_arrival(), item)
+        });
+        prop_assert_eq!(OnlineTimeline::build(&ivs).events(), &expect[..]);
+    }
+
     #[test]
     fn timeline_is_a_permutation_with_invariants(ivs in intervals()) {
         let tl = OnlineTimeline::build(&ivs);

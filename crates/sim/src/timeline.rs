@@ -48,6 +48,19 @@ impl Event {
     }
 }
 
+/// Bit 63 of a packed event key: set for arrivals.
+const ARRIVAL_BIT: u128 = 1 << 63;
+
+/// The item bits of a packed event key.
+const ITEM_MASK: u64 = (1 << 63) - 1;
+
+/// Packs `(time, is_arrival, item)` into a `u128` whose integer order
+/// is the tuple's lexicographic order.
+fn event_key(time: Time, is_arrival: bool, item: usize) -> u128 {
+    debug_assert!(item as u64 <= ITEM_MASK);
+    (u128::from(time) << 64) | (u128::from(is_arrival) << 63) | item as u128
+}
+
 /// The full, ordered event sequence for a set of item intervals.
 ///
 /// Ordering rules (ties broken left to right):
@@ -73,29 +86,30 @@ impl OnlineTimeline {
     /// Panics if any interval is empty.
     #[must_use]
     pub fn build(intervals: &[Interval]) -> Self {
-        let mut events = Vec::with_capacity(intervals.len() * 2);
+        // Sort key (time, is_arrival, item) packed into one u128:
+        // Departure < Arrival at equal ticks because `false < true`.
+        // Keys are unique, so an unstable sort gives the same order as a
+        // stable one, without the stable sort's scratch buffer and on 16
+        // bytes per event instead of 24.
+        let mut keys = Vec::with_capacity(intervals.len() * 2);
         for (idx, iv) in intervals.iter().enumerate() {
             assert!(!iv.is_empty(), "item {idx} has an empty active interval");
-            events.push(Event::Arrival {
-                time: iv.start,
-                item: idx,
-            });
-            events.push(Event::Departure {
-                time: iv.end,
-                item: idx,
-            });
+            keys.push(event_key(iv.start, true, idx));
+            keys.push(event_key(iv.end, false, idx));
         }
-        // Sort key: (time, is_arrival, item). Departure < Arrival at equal
-        // ticks because `false < true`.
-        events.sort_by_key(|e| {
-            (
-                e.time(),
-                e.is_arrival(),
-                match e {
-                    Event::Departure { item, .. } | Event::Arrival { item, .. } => *item,
-                },
-            )
-        });
+        keys.sort_unstable();
+        let events = keys
+            .into_iter()
+            .map(|k| {
+                #[allow(clippy::cast_possible_truncation)]
+                let (time, item) = ((k >> 64) as Time, (k as u64 & ITEM_MASK) as usize);
+                if k & ARRIVAL_BIT == 0 {
+                    Event::Departure { time, item }
+                } else {
+                    Event::Arrival { time, item }
+                }
+            })
+            .collect();
         OnlineTimeline { events }
     }
 

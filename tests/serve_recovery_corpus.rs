@@ -8,7 +8,7 @@
 //! The differential corpus test (`conformance_corpus.rs`) already runs
 //! the serve layer for the full policy suite with sampled cuts; this
 //! test pays for exhaustive cuts on a representative policy spread
-//! (scan-order, index-backed, load-ranked, and cursor-based selection)
+//! (scan-order, load-ranked, and cursor-based selection)
 //! so every boundary of every committed log is a verified recovery
 //! point on each `cargo test`.
 
@@ -31,7 +31,6 @@ fn corpus_files() -> Vec<PathBuf> {
 fn every_corpus_wal_boundary_is_a_verified_recovery_point() {
     let kinds = [
         PolicyKind::FirstFit,
-        PolicyKind::IndexedFirstFit,
         PolicyKind::BestFit(LoadMeasure::Linf),
         PolicyKind::NextFit,
     ];
